@@ -705,19 +705,15 @@ let diag_cmd =
       | Iglr.Session.Recovered { error; location; _ } ->
           Some (location, error.Iglr.Glr.message)
     in
-    let d = Semantics.Diag.create grammar in
-    (* The C subsets need typedef disambiguation before name analysis;
-       its choice flips feed the query layer's push invalidation. *)
-    let typedefs =
+    (* The C subsets need typedef disambiguation before name analysis:
+       the analyzer takes the decisions as it walks. *)
+    let policy =
       match Grammar.Cfg.find_terminal grammar "typedef" with
-      | _ ->
-          let tds = Semantics.Typedefs.create ~policy grammar in
-          Semantics.Typedefs.on_select tds (Semantics.Diag.touch d);
-          ignore (Semantics.Typedefs.analyze tds (Iglr.Session.root s));
-          Semantics.Typedefs.global_typedefs tds
-      | exception Not_found -> []
+      | _ -> Some policy
+      | exception Not_found -> None
     in
-    let r = Semantics.Diag.run d ~typedefs (Iglr.Session.root s) in
+    let d = Semantics.Diag.create ?policy grammar in
+    let r = Semantics.Diag.run d (Iglr.Session.root s) in
     let loc tok = Iglr.Session.location_of_token s tok in
     if json then
       print_envelope ~tool:"diag"

@@ -18,19 +18,19 @@ let spine_role g (n : Node.t) =
 let elements g node =
   let rec collect (n : Node.t) acc =
     match spine_role g n with
-    | None -> resolve_choice n :: acc
+    | None -> n :: acc
     | Some (prod, n) -> (
         match prod.Cfg.role with
         | Cfg.Seq_empty -> acc
-        | Cfg.Seq_one -> resolve_choice n.Node.kids.(0) :: acc
+        | Cfg.Seq_one -> n.Node.kids.(0) :: acc
         | Cfg.Seq_cons ->
             (* [L -> L elem] or [L -> L sep elem]. *)
-            let elem = n.Node.kids.(Array.length n.Node.kids - 1) in
-            collect n.Node.kids.(0) (resolve_choice elem :: acc)
+            collect n.Node.kids.(0)
+              (n.Node.kids.(Array.length n.Node.kids - 1) :: acc)
         | Cfg.Plain ->
             (* A wrapper such as the separated star's [L -> L1]. *)
             if Array.length n.Node.kids = 1 then collect n.Node.kids.(0) acc
-            else resolve_choice n :: acc)
+            else n :: acc)
   in
   collect node []
 

@@ -8,7 +8,10 @@
 (** [elements g node] — the elements of a sequence spine rooted at [node]
     (a node whose symbol is a sequence nonterminal), in source order,
     skipping separators.  For a non-sequence node, the singleton list.
-    Choice nodes inside follow the selected (or first) alternative. *)
+    A choice between spine shapes follows its selected (or first)
+    alternative; an element that is itself a choice node is returned as
+    is, so an element keeps its identity when a semantic filter flips
+    its selection (tools key side tables on elements). *)
 val elements : Grammar.Cfg.t -> Node.t -> Node.t list
 
 (** [spine_depth g node] — length of the left-recursive spine (the list

@@ -54,9 +54,6 @@ let productions_of g nt = g.by_lhs.(nt)
 let iter_productions g f = Array.iter f g.productions
 let fold_productions g f acc = Array.fold_left f acc g.productions
 
-let rhs_mentions g p sym =
-  Array.exists (equal_symbol sym) g.productions.(p).rhs
-
 let operator_terminal g p =
   (* The terminal at the second right-hand position of an infix-shaped
      production [A -> B op ...]: the operator in the interpretation the

@@ -69,10 +69,6 @@ val iter_productions : t -> (production -> unit) -> unit
 (** [fold_productions g f acc] folds [f] over the productions in id order. *)
 val fold_productions : t -> ('a -> production -> 'a) -> 'a -> 'a
 
-(** [rhs_mentions g p sym] — does production [p]'s right-hand side contain
-    [sym]? *)
-val rhs_mentions : t -> int -> symbol -> bool
-
 val operator_terminal : t -> int -> int option
 (** The terminal at the second right-hand position of production [p]
     ([A -> B op …]): the {e operator} of the interpretation the

@@ -40,13 +40,6 @@ let shortest_yields g =
     | Cfg.T t -> Some [ t ]
     | Cfg.N n -> if cost.(n) = max_int then None else Some witness.(n)
 
-let min_yield_len g =
-  let cost, _ = yield_fixpoint g in
-  fun sym ->
-    match sym with
-    | Cfg.T _ -> Some 1
-    | Cfg.N n -> if cost.(n) = max_int then None else Some cost.(n)
-
 (* ------------------------------------------------------------------ *)
 (* Bounded sentence enumeration.                                       *)
 

@@ -14,11 +14,6 @@
     Terminals yield themselves. *)
 val shortest_yields : Cfg.t -> Cfg.symbol -> int list option
 
-(** [min_yield_len g sym] — length of the shortest terminal yield of
-    [sym], or [None] when unproductive.  Shares the fixpoint of
-    {!shortest_yields}. *)
-val min_yield_len : Cfg.t -> Cfg.symbol -> int option
-
 (** [enumerate g ~from ~max_len] — every distinct terminal sentence of
     length [<= max_len] derivable from nonterminal [from], by bounded
     leftmost expansion of sentential forms with min-yield pruning.

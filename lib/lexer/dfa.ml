@@ -1,7 +1,6 @@
 type t = {
   next : int array array;  (* state -> 256 targets, -1 = stuck *)
   accept : int option array;
-  dead : bool array;
 }
 
 let num_states t = Array.length t.next
@@ -9,14 +8,9 @@ let num_states t = Array.length t.next
 let make ~next ~accept =
   if Array.length next <> Array.length accept then
     invalid_arg "Dfa.make: table length mismatch";
-  let dead =
-    Array.init (Array.length next) (fun s ->
-        accept.(s) = None && Array.for_all (fun t -> t < 0) next.(s))
-  in
-  { next; accept; dead }
+  { next; accept }
 let next t s c = t.next.(s).(Char.code c)
 let accept t s = t.accept.(s)
-let is_dead t s = t.dead.(s)
 
 let of_nfa nfa =
   let index : (int array, int) Hashtbl.t = Hashtbl.create 64 in
@@ -64,8 +58,4 @@ let of_nfa nfa =
             | None -> acc)
           None set)
     !states;
-  let dead =
-    Array.init n (fun s ->
-        accept.(s) = None && Array.for_all (fun t -> t < 0) next.(s))
-  in
-  { next; accept; dead }
+  { next; accept }

@@ -14,7 +14,3 @@ val make : next:int array array -> accept:int option array -> t
 val num_states : t -> int
 val next : t -> int -> char -> int
 val accept : t -> int -> int option
-
-(** [is_dead t s] — no outgoing transitions and not accepting (scanning can
-    stop). *)
-val is_dead : t -> int -> bool

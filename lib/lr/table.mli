@@ -80,10 +80,6 @@ val conflicts : t -> conflict list
 
 val is_deterministic : t -> bool
 
-(** States in which some entry is multiply defined (used by tests and
-    diagnostics). *)
-val conflicted_states : t -> int list
-
 (** LR(0) items participating in a conflict: completed items of the
     reduced productions plus the items whose dot precedes the conflict
     terminal (shift side).  Only meaningful for [SLR]/[LALR] tables; the

@@ -2,26 +2,30 @@
 
    The unit of incrementality is the top-level item — a [calc]
    statement, a C-subset external declaration: the elements of the
-   start symbol's sequence spine.  Each item carries three cells keyed
-   by its dag node id:
+   start symbol's sequence.  Each item carries its cells keyed by its
+   dag node id:
 
      diag.scope    env-free summary: exported defs, free uses, local
                    diagnostics, and a typing skeleton (a small
-                   expression IR with item-local names already bound)
+                   expression IR with item-local names already bound);
+                   with a §4.2 policy it also decides the item's choices
      diag.resolve  free uses filtered against the visible-names input
      diag.types    the skeleton evaluated against the typing-env input
+     diag.leads    the identifiers leading the item's choice regions
+                   (policy only): the restriction of the typedef view
 
    A reparse gives a rebuilt item a fresh node id, so its cells are
    recomputed from scratch while every retained item's cells validate
    clean — the engine's dependency check sees an unchanged node, an
-   unchanged environment restriction, and stops.  Choice-node flips by
-   the semantic disambiguator arrive through [touch] (every walk
-   records a node dependency on the choices it crosses).  Cross-item
-   aggregation is plain per-run code over the cell values: linear in
-   the item count and free of tree walks. *)
+   unchanged environment restriction, and stops.  Every walk records a
+   node dependency on the choices it crosses, so a selection flipped by
+   another analyzer arrives through [touch].  Cross-item aggregation is
+   plain per-run code over the cell values: linear in the item count and
+   free of tree walks. *)
 
 module Cfg = Grammar.Cfg
 module Node = Parsedag.Node
+module Sequence = Parsedag.Sequence
 
 type ty = Int | Float | Char | Void | Named of string | Unknown
 
@@ -49,6 +53,18 @@ type result = {
   diags : diag list;
   types : (int * ty) list;
   typedefs : string list;
+}
+
+type policy = Namespace_only | Prefer_decl
+
+type report = {
+  typedefs : int;
+  choices : int;
+  decided : int;
+  reinterpreted : int;
+  unresolved : int;
+  prefer_decl_applied : int;
+  errors : (string * string) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -102,6 +118,9 @@ type summary = {
   sm_uses : suse list;  (* free uses, source order *)
   sm_ctxs : tctx list;  (* source order *)
   sm_diags : (int * string * string) list;  (* rel token, code, message *)
+  sm_choices : int;  (* choice nodes the walk crossed *)
+  sm_unresolved : int;  (* §4.2: choices the policy left undecided *)
+  sm_tderrors : (string * string) list;  (* §4.2: kind, leading name *)
 }
 
 type resolution = { rv_unresolved : suse list }
@@ -129,6 +148,7 @@ type ids = {
   num_t : int;
   expr_nt : int;
   type_spec_nt : int;  (* clike only; -1 for calc *)
+  decl_nt : int;  (* clike only; -1 for calc *)
 }
 
 (* Per-production dispatch, precomputed at [create]. *)
@@ -147,18 +167,44 @@ type shape =
   | S_init_plain  (* init_decl -> declarator *)
   | S_init_eq  (* init_decl -> declarator = expr *)
 
+(* The last §4.2 decision at a choice node: the leading name it read,
+   that name's namespace status, and the selection it made. *)
+type decision = { dec_name : string option; dec_type : bool; dec_sel : int }
+
+(* Decisions are keyed weakly by choice node: an entry goes when its
+   node leaves the tree and is collected. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Node.t
+
+  let equal = ( == )
+  let hash (n : Node.t) = Hashtbl.hash n.Node.nid
+end)
+
 type t = {
   g : Cfg.t;
   mode : mode;
   ids : ids;
   shapes : shape array;
+  policy : policy option;
   engine : Query.t;
   scope_q : summary Query.def;
   resolve_q : resolution Query.def;
   types_q : tyres Query.def;
+  leads_q : string list Query.def;
   envnames_in : (string * ns) list Query.input;
   envty_in : tenv Query.input;
+  tdview_in : string list Query.input;
+      (* typedef names exported by earlier items, restricted to the
+         item's leads *)
   nodes : (int, Node.t) Hashtbl.t;  (* item nid -> node, per run *)
+  decisions : decision Memo.t;
+  mutable on_select : (Node.t -> unit) option;
+  (* Per-run §4.2 counters (decisions happen inside scope computes). *)
+  mutable n_decided : int;
+  mutable n_reinterp : int;
+  mutable n_prefer : int;
+  mutable last : summary list;  (* the last run's items, in order *)
+  mutable globals : string list;  (* typedef names exported, sorted *)
 }
 
 let find_nt g n = try Cfg.find_nonterminal g n with Not_found -> -1
@@ -221,63 +267,121 @@ let classify g mode ids (pr : Cfg.production) =
    into plain data here, so the resolve and types cells never touch
    the dag. *)
 
-type wdef = {
-  m_name : string;
-  m_kind : def_kind;
-  m_tok : int;
-  mutable m_ts : sts;
-  m_export : bool;
-}
-
 type wst = {
   a : t;
   e : Query.t;
   mutable tok : int;
-  mutable scopes : (ns * string, int) Hashtbl.t list;  (* innermost first *)
+  mutable env : (ns * string * int) list;
+      (* local defs in scope, innermost first: (namespace, name, def) *)
+  mutable depth : int;  (* scopes open inside the item *)
   mutable ndefs : int;
-  mutable rdefs : wdef list;  (* reversed *)
+  mutable rdefs : sdef list;  (* reversed; [sd_used] set at the end *)
   used : (int, unit) Hashtbl.t;
   mutable ruses : suse list;  (* reversed *)
   mutable rctxs : tctx list;  (* reversed *)
   mutable rdiags : (int * string * string) list;  (* reversed *)
   mutable cur_ts : sts;  (* decl's type_spec, for its init_decls *)
+  view : string list Lazy.t;  (* the item's typedef view (policy only) *)
+  mutable choices : int;
+  mutable unresolved : int;
+  mutable rtderrors : (string * string) list;  (* reversed *)
 }
 
 let term_text (n : Node.t) =
   match n.Node.kind with Node.Term i -> i.Node.text | _ -> ""
 
-(* Descend a choice along its selected (or first) alternative,
-   recording the node dependency: a semantic-filter flip arrives as
-   [touch] and re-runs every cell whose walk crossed this node. *)
-let alt w (n : Node.t) ci =
-  Query.depend_node w.e n;
-  let i =
-    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
-      ci.Node.selected
-    else 0
-  in
-  n.Node.kids.(i)
-
 let lookup w ns name =
-  let rec go = function
-    | [] -> None
-    | s :: rest -> (
-        match Hashtbl.find_opt s (ns, name) with
-        | Some i -> Some i
-        | None -> go rest)
-  in
-  go w.scopes
+  List.find_map (fun (ns', n, i) -> if ns' = ns && String.equal n name then Some i else None) w.env
 
 let add_def ?(inscope = true) w ~name ~kind ~tok ~ts =
-  let export = List.length w.scopes <= 1 in
   let i = w.ndefs in
   w.ndefs <- i + 1;
-  w.rdefs <- { m_name = name; m_kind = kind; m_tok = tok; m_ts = ts; m_export = export } :: w.rdefs;
-  (if inscope then
-     match w.scopes with
-     | s :: _ -> Hashtbl.replace s (ns_of_kind kind, name) i
-     | [] -> ());
+  w.rdefs <-
+    { sd_name = name; sd_kind = kind; sd_tok = tok; sd_ts = ts; sd_export = w.depth = 0; sd_used = false }
+    :: w.rdefs;
+  if inscope then w.env <- (ns_of_kind kind, name, i) :: w.env;
   i
+
+(* The identifier a choice region starts with, if it starts with one. *)
+let leading_id a (n : Node.t) =
+  match Node.first_terminal n with
+  | Some { Node.kind = Node.Term i; _ } when i.Node.term = a.ids.id_t ->
+      Some i.Node.text
+  | _ -> None
+
+(* Classify an alternative of a statement choice by its first child's
+   nonterminal: the declaration or the expression reading. *)
+let alt_kind a (alt : Node.t) =
+  match alt.Node.kind with
+  | Node.Prod _ when Array.length alt.Node.kids > 0 -> (
+      match Node.symbol a.g alt.Node.kids.(0) with
+      | `N nt when nt = a.ids.decl_nt -> `Decl
+      | `N nt when nt = a.ids.expr_nt -> `Expr
+      | _ -> `Other)
+  | _ -> `Other
+
+(* The §4.2 decision at a choice the walk crosses: the region's leading
+   identifier names a type when a typedef binds it in the item's local
+   scopes or in the item's typedef view; a type selects the declaration
+   reading, anything else the expression reading.  A choice whose
+   recorded decision still holds (same name, same status, selection
+   intact) keeps its selection without a new decision.  A region not
+   led by an identifier, or missing the reading its name calls for,
+   stays unresolved with every interpretation retained (§4.3). *)
+let decide w policy (n : Node.t) ci =
+  let a = w.a in
+  let name = leading_id a n in
+  let is_type =
+    match name with
+    | Some x ->
+        (* Forced even when a local typedef decides, so the cell always
+           depends on the view the driver set for it. *)
+        let view = Lazy.force w.view in
+        lookup w Typ x <> None || List.mem x view
+    | None -> false
+  in
+  match Memo.find_opt a.decisions n with
+  | Some d
+    when d.dec_name = name && d.dec_type = is_type && d.dec_sel >= 0
+         && d.dec_sel = ci.Node.selected ->
+      ()
+  | _ ->
+      a.n_decided <- a.n_decided + 1;
+      let find kind = Array.find_index (fun k -> alt_kind a k = kind) n.Node.kids in
+      let error kind =
+        w.rtderrors <- (kind, Option.value ~default:"?" name) :: w.rtderrors;
+        -1
+      in
+      let sel =
+        if name = None then -1
+        else if is_type then (
+          match find `Decl with
+          | Some i ->
+              if policy = Prefer_decl && find `Expr <> None then
+                a.n_prefer <- a.n_prefer + 1;
+              i
+          | None -> error "type-in-expression-position")
+        else
+          match find `Expr with
+          | Some i -> i
+          | None -> error "unknown-type-name"
+      in
+      let prev = ci.Node.selected in
+      ci.Node.selected <- sel;
+      if sel < 0 then w.unresolved <- w.unresolved + 1
+      else if prev >= 0 && prev <> sel then a.n_reinterp <- a.n_reinterp + 1;
+      Memo.replace a.decisions n { dec_name = name; dec_type = is_type; dec_sel = sel };
+      if sel <> prev then Option.iter (fun f -> f n) a.on_select
+
+(* Descend a choice along its selected (or first) alternative — taking
+   the §4.2 decision first under a policy — recording the node
+   dependency: a flip by another analyzer arrives as [touch] and re-runs
+   every cell whose walk crossed this node. *)
+let alt w (n : Node.t) ci =
+  Query.depend_node w.e n;
+  w.choices <- w.choices + 1;
+  Option.iter (fun policy -> decide w policy n ci) w.a.policy;
+  n.Node.kids.(max 0 ci.Node.selected)
 
 let mark_used w i = Hashtbl.replace w.used i ()
 
@@ -304,12 +408,10 @@ let rec wexpr w (n : Node.t) : ex =
             Efree i.Node.text)
       else if i.Node.term = w.a.ids.num_t then Enum (lit_ty i.Node.text)
       else Enone
-  | Node.Bos | Node.Eos _ -> Enone
+  | Node.Bos | Node.Eos _ | Node.Root -> Enone  (* never inside an expression *)
   | Node.Error _ ->
       w.tok <- w.tok + Node.token_count n;
       Enone
-  | Node.Root ->
-      Eseq (Array.to_list (Array.map (wexpr w) n.Node.kids))
   | Node.Choice ci -> wexpr w (alt w n ci)
   | Node.Prod p -> (
       let kids = n.Node.kids in
@@ -341,9 +443,12 @@ let rec wexpr w (n : Node.t) : ex =
           in
           Ecall (f, flat args)
       | _ -> (
-          match Array.to_list (Array.map (wexpr w) kids) with
-          | [ e ] -> e
-          | l -> Eseq (List.filter (fun e -> e <> Enone) l)))
+          match kids with
+          | [| k |] -> wexpr w k
+          | _ ->
+              Eseq
+                (List.filter (fun e -> e <> Enone)
+                   (Array.to_list (Array.map (wexpr w) kids)))))
 
 (* Type specifier: a keyword gives a base type; an identifier is a use
    in the type namespace and stays symbolic. *)
@@ -389,10 +494,13 @@ let rec wdeclarator w (n : Node.t) : (string * int) option =
         None n.Node.kids
   | Node.Bos | Node.Eos _ -> None
 
-let push_scope w = w.scopes <- Hashtbl.create 8 :: w.scopes
-
-let pop_scope w =
-  match w.scopes with _ :: rest -> w.scopes <- rest | [] -> ()
+(* Run [f] in a nested scope: the defs it adds go out of scope after. *)
+let scoped w f =
+  let env = w.env in
+  w.depth <- w.depth + 1;
+  f ();
+  w.depth <- w.depth - 1;
+  w.env <- env
 
 let rec walk w (n : Node.t) =
   match n.Node.kind with
@@ -442,35 +550,29 @@ let rec walk w (n : Node.t) =
             walk w kids.(1);
             w.cur_ts <- Sb Unknown;
             w.tok <- w.tok + 1 (* ; *)
-        | S_init_plain | S_init_eq -> (
-            let shape = w.a.shapes.(p) in
-            match wdeclarator w kids.(0) with
-            | None ->
-                if shape = S_init_eq then begin
-                  w.tok <- w.tok + 1 (* = *);
-                  ignore (wexpr w kids.(2))
-                end
-            | Some (name, dtok) -> (
-                let i = add_def w ~name ~kind:Var ~tok:dtok ~ts:w.cur_ts in
-                match shape with
-                | S_init_eq ->
-                    w.tok <- w.tok + 1 (* = *);
-                    let etok = w.tok in
-                    let ex = wexpr w kids.(2) in
-                    add_ctx w
-                      { tc_tok = etok; tc_check = Some i; tc_bind = None; tc_ex = ex }
-                | _ -> ()))
+        | S_init_plain | S_init_eq ->
+            let def =
+              Option.map
+                (fun (name, dtok) -> add_def w ~name ~kind:Var ~tok:dtok ~ts:w.cur_ts)
+                (wdeclarator w kids.(0))
+            in
+            if w.a.shapes.(p) = S_init_eq then begin
+              w.tok <- w.tok + 1 (* = *);
+              let etok = w.tok in
+              let ex = wexpr w kids.(2) in
+              if def <> None then
+                add_ctx w { tc_tok = etok; tc_check = def; tc_bind = None; tc_ex = ex }
+            end
         | S_func ->
             (* type_spec id ( [params] ) compound *)
             let ts = wtype_spec w kids.(0) in
             let name = term_text kids.(1) in
             ignore (add_def w ~name ~kind:Func ~tok:w.tok ~ts);
             w.tok <- w.tok + 1 (* id *);
-            push_scope w;
-            for i = 2 to Array.length kids - 1 do
-              walk w kids.(i)
-            done;
-            pop_scope w
+            scoped w (fun () ->
+                for i = 2 to Array.length kids - 1 do
+                  walk w kids.(i)
+                done)
         | S_param -> (
             let ts = wtype_spec w kids.(0) in
             match kids.(1).Node.kind with
@@ -478,22 +580,21 @@ let rec walk w (n : Node.t) =
                 ignore (add_def w ~name:i.Node.text ~kind:Param ~tok:w.tok ~ts);
                 w.tok <- w.tok + 1
             | _ -> walk w kids.(1))
-        | S_compound ->
-            push_scope w;
-            Array.iter (walk w) kids;
-            pop_scope w
+        | S_compound -> scoped w (fun () -> Array.iter (walk w) kids)
         | S_binop _ | S_paren | S_call0 | S_call | S_other ->
             Array.iter (walk w) kids)
 
 let scope_compute a e nid =
   let n = Hashtbl.find a.nodes nid in
   Query.depend_node e n;
+  let view = lazy (Option.value ~default:[] (Query.read e a.tdview_in nid)) in
   let w =
     {
       a;
       e;
       tok = 0;
-      scopes = [ Hashtbl.create 8 ];
+      env = [];
+      depth = 0;
       ndefs = 0;
       rdefs = [];
       used = Hashtbl.create 16;
@@ -501,6 +602,10 @@ let scope_compute a e nid =
       rctxs = [];
       rdiags = [];
       cur_ts = Sb Unknown;
+      view;
+      choices = 0;
+      unresolved = 0;
+      rtderrors = [];
     }
   in
   walk w n;
@@ -511,64 +616,68 @@ let scope_compute a e nid =
   let uses =
     List.filter
       (fun u ->
-        let later = ref (-1) in
-        Array.iteri
-          (fun i d ->
-            if
-              !later < 0 && d.m_name = u.su_name
-              && ns_of_kind d.m_kind = u.su_ns
-              && d.m_tok > u.su_tok
-            then later := i)
-          defs;
-        if !later >= 0 then begin
-          mark_used w !later;
-          w.rdiags <-
-            ( u.su_tok,
-              "use-before-decl",
-              Printf.sprintf "%s is used before its declaration" u.su_name )
-            :: w.rdiags;
-          false
-        end
-        else true)
+        match
+          Array.find_index
+            (fun d ->
+              d.sd_name = u.su_name && ns_of_kind d.sd_kind = u.su_ns
+              && d.sd_tok > u.su_tok)
+            defs
+        with
+        | Some i ->
+            mark_used w i;
+            w.rdiags <-
+              ( u.su_tok,
+                "use-before-decl",
+                Printf.sprintf "%s is used before its declaration" u.su_name )
+              :: w.rdiags;
+            false
+        | None -> true)
       (List.rev w.ruses)
   in
   (* Unused locals (exported defs are judged across items by the
      driver). *)
   Array.iteri
     (fun i d ->
-      if (not d.m_export) && not (Hashtbl.mem w.used i) then
+      if (not d.sd_export) && not (Hashtbl.mem w.used i) then
         w.rdiags <-
-          ( d.m_tok,
+          ( d.sd_tok,
             "unused-binding",
-            Printf.sprintf "%s %s is never used" (kind_name d.m_kind) d.m_name )
+            Printf.sprintf "%s %s is never used" (kind_name d.sd_kind) d.sd_name )
           :: w.rdiags)
     defs;
   {
-    sm_defs =
-      Array.mapi
-        (fun i d ->
-          {
-            sd_name = d.m_name;
-            sd_kind = d.m_kind;
-            sd_tok = d.m_tok;
-            sd_ts = d.m_ts;
-            sd_export = d.m_export;
-            sd_used = Hashtbl.mem w.used i;
-          })
-        defs;
+    sm_defs = Array.mapi (fun i d -> { d with sd_used = Hashtbl.mem w.used i }) defs;
     sm_uses = uses;
     sm_ctxs = List.rev w.rctxs;
     sm_diags = List.rev w.rdiags;
+    sm_choices = w.choices;
+    sm_unresolved = w.unresolved;
+    sm_tderrors = List.rev w.rtderrors;
   }
+
+(* The leads of an item: the identifiers its choice regions start with,
+   sorted — the only names whose namespace a decision in the item reads.
+   Every alternative is visited, so the set does not depend on the
+   decisions the scope cell takes. *)
+let leads_compute a e nid =
+  let n = Hashtbl.find a.nodes nid in
+  Query.depend_node e n;
+  let acc = ref [] in
+  let rec go (n : Node.t) =
+    (match n.Node.kind with
+    | Node.Choice _ -> Option.iter (fun x -> acc := x :: !acc) (leading_id a n)
+    | _ -> ());
+    Array.iter go n.Node.kids
+  in
+  go n;
+  List.sort_uniq String.compare !acc
 
 (* ------------------------------------------------------------------ *)
 (* Name resolution: free uses against the restricted visible set.      *)
 
 let resolve_compute a e nid =
   let s = Query.fetch e a.scope_q nid in
-  let vis =
-    match Query.read e a.envnames_in nid with Some v -> v | None -> []
-  in
+  let vis = Option.value ~default:[] (Query.read e a.envnames_in nid) in
   {
     rv_unresolved =
       List.filter (fun u -> not (List.mem (u.su_name, u.su_ns) vis)) s.sm_uses;
@@ -581,9 +690,7 @@ let resolve_compute a e nid =
 let types_compute a e nid =
   let s = Query.fetch e a.scope_q nid in
   let env =
-    match Query.read e a.envty_in nid with
-    | Some env -> env
-    | None -> { te_vals = []; te_types = [] }
+    Option.value ~default:{ te_vals = []; te_types = [] } (Query.read e a.envty_in nid)
   in
   let defs = s.sm_defs in
   let tds =
@@ -677,7 +784,7 @@ let types_compute a e nid =
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
-let create g =
+let create ?policy g =
   let mode =
     match mode_of g with
     | Some m -> m
@@ -689,6 +796,7 @@ let create g =
       num_t = find_t g "num";
       expr_nt = find_nt g "expr";
       type_spec_nt = find_nt g "type_spec";
+      decl_nt = find_nt g "decl";
     }
   in
   let shapes =
@@ -705,13 +813,23 @@ let create g =
       mode;
       ids;
       shapes;
+      policy;
       engine = Query.create ();
       scope_q = force "diag.scope" scope_compute;
       resolve_q = force "diag.resolve" resolve_compute;
       types_q = force "diag.types" types_compute;
+      leads_q = force "diag.leads" leads_compute;
       envnames_in = Query.input ~name:"diag.envnames" ();
       envty_in = Query.input ~name:"diag.envty" ();
+      tdview_in = Query.input ~name:"diag.tdview" ();
       nodes = Hashtbl.create 64;
+      decisions = Memo.create 64;
+      on_select = None;
+      n_decided = 0;
+      n_reinterp = 0;
+      n_prefer = 0;
+      last = [];
+      globals = [];
     }
   in
   aref := Some a;
@@ -720,65 +838,81 @@ let create g =
 let engine a = a.engine
 let commit a ~watermark root = Query.commit_tree a.engine ~watermark root
 let touch a n = Query.touch_node a.engine n
+let on_select a f = a.on_select <- Some f
+
+let report a =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 a.last in
+  {
+    typedefs =
+      sum (fun s ->
+          Array.fold_left (fun k d -> if d.sd_kind = Type then k + 1 else k) 0 s.sm_defs);
+    choices = sum (fun s -> s.sm_choices);
+    decided = a.n_decided;
+    reinterpreted = a.n_reinterp;
+    unresolved = sum (fun s -> s.sm_unresolved);
+    prefer_decl_applied = a.n_prefer;
+    errors = List.concat_map (fun s -> s.sm_tderrors) a.last;
+  }
+
+let global_typedefs a = a.globals
 
 (* ------------------------------------------------------------------ *)
-(* Item enumeration: the elements of the start symbol's sequence
-   spine.                                                              *)
+(* The scope pass: the items in source order, each item's scope cell
+   fetched with the typedef contour in force before it.                *)
 
-let choice_alt (n : Node.t) ci =
-  let i =
-    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
-      ci.Node.selected
-    else 0
-  in
-  n.Node.kids.(i)
-
-let rec find_spine g (n : Node.t) =
-  match n.Node.kind with
-  | Node.Prod p ->
-      let pr = Cfg.production g p in
-      if Cfg.seq_kind g pr.Cfg.lhs = Cfg.Seq then Some n
-      else
-        Array.fold_left
-          (fun acc k -> match acc with Some _ -> acc | None -> find_spine g k)
-          None n.Node.kids
-  | Node.Choice ci -> find_spine g (choice_alt n ci)
-  | Node.Root ->
-      Array.fold_left
-        (fun acc k -> match acc with Some _ -> acc | None -> find_spine g k)
-        None n.Node.kids
-  | _ -> None
-
-let rec spine_items g (n : Node.t) acc =
-  match n.Node.kind with
-  | Node.Prod p -> (
-      let pr = Cfg.production g p in
-      let kids = n.Node.kids in
-      let last () = kids.(Array.length kids - 1) in
-      match pr.Cfg.role with
-      | Cfg.Seq_empty -> acc
-      | Cfg.Seq_one -> last () :: acc
-      | Cfg.Seq_cons -> spine_items g kids.(0) (last () :: acc)
-      | Cfg.Plain -> acc)
-  | Node.Choice ci -> spine_items g (choice_alt n ci) acc
-  | Node.Error _ -> n :: acc
-  | _ -> acc
-
-let items_of a root =
-  match find_spine a.g root with
-  | Some spine -> spine_items a.g spine []
+(* The items: the elements of the sequence the start production wraps
+   ([program -> stmt*], [translation_unit -> ext_decl*]). *)
+let items_of a (root : Node.t) =
+  match Array.find_opt (fun k -> Node.symbol a.g k = `N (Cfg.start a.g)) root.Node.kids with
+  | Some top -> Sequence.elements a.g top.Node.kids.(0)
   | None -> []
+
+(* Fetch every item's scope cell, in order.  Under a policy, the item's
+   typedef view — the typedef names earlier items export, restricted to
+   the item's leads — is set first, so the decisions the cell takes see
+   the contour in force and an unrelated typedef edit leaves the view,
+   and so the cell, untouched.  An item without leads takes no decision
+   that reads the view and gets none. *)
+let scan a root =
+  a.n_decided <- 0;
+  a.n_reinterp <- 0;
+  a.n_prefer <- 0;
+  Hashtbl.reset a.nodes;
+  let tds = Hashtbl.create 16 in
+  let summaries =
+    List.map
+      (fun (it : Node.t) ->
+        let nid = it.Node.nid in
+        Hashtbl.replace a.nodes nid it;
+        (if a.policy <> None then
+           match Query.fetch a.engine a.leads_q nid with
+           | [] -> ()
+           | leads ->
+               Query.set a.engine a.tdview_in nid
+                 (List.filter (Hashtbl.mem tds) leads));
+        let s = Query.fetch a.engine a.scope_q nid in
+        Array.iter
+          (fun d ->
+            if d.sd_export && d.sd_kind = Type then
+              Hashtbl.replace tds d.sd_name ())
+          s.sm_defs;
+        (it, s))
+      (items_of a root)
+  in
+  a.last <- List.map snd summaries;
+  a.globals <- List.sort compare (Hashtbl.fold (fun n () l -> n :: l) tds []);
+  summaries
+
+let decide a root =
+  ignore (scan a root);
+  ignore (Query.collect a.engine);
+  report a
 
 (* ------------------------------------------------------------------ *)
 (* The per-run driver: fetch cells, thread the environment, aggregate. *)
 
-let run a ?(typedefs = []) root =
-  Hashtbl.reset a.nodes;
-  let items = items_of a root in
-  List.iter (fun (it : Node.t) -> Hashtbl.replace a.nodes it.Node.nid it) items;
-  let summaries =
-    List.map (fun (it : Node.t) -> (it, Query.fetch a.engine a.scope_q it.Node.nid)) items
-  in
+let run a ?typedefs root =
+  let summaries = scan a root in
   (* Everything any item exports, for classifying unresolved names. *)
   let all_defs = Hashtbl.create 64 in
   List.iter
@@ -809,26 +943,15 @@ let run a ?(typedefs = []) root =
       in
       Query.set a.engine a.envnames_in it.Node.nid envnames;
       let r = Query.fetch a.engine a.resolve_q it.Node.nid in
-      let te_vals =
+      let restrict ns' running =
         List.filter_map
           (fun (n, ns) ->
-            if ns = Ord then
-              match Hashtbl.find_opt running_vals n with
-              | Some ty -> Some (n, ty)
-              | None -> None
-            else None)
-          use_names
-      and te_types =
-        List.filter_map
-          (fun (n, ns) ->
-            if ns = Typ then
-              match Hashtbl.find_opt running_tds n with
-              | Some ty -> Some (n, ty)
-              | None -> None
+            if ns = ns' then Option.map (fun ty -> (n, ty)) (Hashtbl.find_opt running n)
             else None)
           use_names
       in
-      Query.set a.engine a.envty_in it.Node.nid { te_vals; te_types };
+      Query.set a.engine a.envty_in it.Node.nid
+        { te_vals = restrict Ord running_vals; te_types = restrict Typ running_tds };
       let tr = Query.fetch a.engine a.types_q it.Node.nid in
       (* Thread the running environment forward. *)
       List.iter (fun (n, ty) -> Hashtbl.replace running_vals n ty) tr.tr_exports;
@@ -870,21 +993,12 @@ let run a ?(typedefs = []) root =
      declaration; never declared -> unbound. *)
   List.iter
     (fun (name, ns, tok) ->
-      let d =
+      let d_code, d_message =
         if Hashtbl.mem all_defs (name, ns) then
-          {
-            d_code = "use-before-decl";
-            d_token = tok;
-            d_message = Printf.sprintf "%s is used before its declaration" name;
-          }
-        else
-          {
-            d_code = "unbound-name";
-            d_token = tok;
-            d_message = Printf.sprintf "%s is not defined" name;
-          }
+          ("use-before-decl", Printf.sprintf "%s is used before its declaration" name)
+        else ("unbound-name", Printf.sprintf "%s is not defined" name)
       in
-      rdiags := d :: !rdiags)
+      rdiags := { d_code; d_token = tok; d_message } :: !rdiags)
     !pending;
   (* Unused exported bindings: no use anywhere, in any item. *)
   let bindings =
@@ -920,7 +1034,10 @@ let run a ?(typedefs = []) root =
           compare (a.d_token, a.d_code, a.d_message) (b.d_token, b.d_code, b.d_message))
         !rdiags;
     types = List.sort compare !rtypes;
-    typedefs = List.sort_uniq compare typedefs;
+    typedefs =
+      (match typedefs with
+      | Some l -> List.sort_uniq compare l
+      | None -> global_typedefs a);
   }
 
 (* ------------------------------------------------------------------ *)

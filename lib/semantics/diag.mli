@@ -19,6 +19,18 @@
       mismatch; the C subsets type through [typedef]-introduced names
       nominally for display and structurally for checking.
 
+    Created with a {!policy}, the scope walk is also the paper's §4.2
+    semantic disambiguation: at each choice node it crosses, the leading
+    identifier names a type if a typedef binds it in the item's own
+    scopes or in the item's {e typedef view} — an input holding the
+    typedef names earlier items export, restricted to the identifiers
+    that lead the item's choice regions — and a type selects the
+    declaration reading, anything else the expression reading.  Losing
+    alternatives are retained, so a later typedef edit can flip the
+    decision (§4.2); unresolvable regions keep every interpretation
+    (§4.3).  A typedef edit changes the view, and so re-walks, only the
+    items with a choice led by that name.
+
     Aggregation across items (which diagnostics a free name earns, which
     exported bindings are never used anywhere) is plain per-run driver
     code: it is linear in the number of items and never re-walks their
@@ -28,8 +40,7 @@
 
     The analyzer is wired to a session from outside this library (the
     layering keeps [semantics] below the parser runtime): subscribe
-    {!commit} via [Session.on_commit], and bridge semantic
-    disambiguation flips via [Typedefs.on_select] into {!touch}. *)
+    {!commit} via [Session.on_commit]. *)
 
 (** Types of the simple checker.  [Named] is the display type of a
     variable declared through a typedef (checking is structural, against
@@ -65,6 +76,32 @@ type result = {
   typedefs : string list;  (** typedef names in force, sorted *)
 }
 
+(** §4.2 disambiguation policies. *)
+type policy =
+  | Namespace_only
+      (** C: the identifier's namespace decides; a type name in
+          expression position (or vice versa) is a semantic error. *)
+  | Prefer_decl
+      (** C++: when both interpretations remain plausible (the leading
+          identifier names a type), prefer the declaration (§4.1 / ref
+          [3]). *)
+
+(** The §4.2 side of a run: [decided], [reinterpreted] and
+    [prefer_decl_applied] count this run's work, the rest describe the
+    tree. *)
+type report = {
+  typedefs : int;  (** typedef declarations *)
+  choices : int;  (** choice nodes the walk crossed *)
+  decided : int;
+      (** decisions taken: at new choices, or where the leading name, its
+          status or the selection changed since the last decision *)
+  reinterpreted : int;  (** decisions that flipped an earlier selection *)
+  unresolved : int;  (** choices left with multiple interpretations *)
+  prefer_decl_applied : int;  (** C++ rule applications *)
+  errors : (string * string) list;
+      (** (kind, name): ["unknown-type-name"], ["type-in-expression-position"] *)
+}
+
 type t
 
 val supported : Grammar.Cfg.t -> bool
@@ -72,8 +109,10 @@ val supported : Grammar.Cfg.t -> bool
     (recognised by their nonterminal vocabulary); other languages are
     not supported and [create] refuses them. *)
 
-val create : Grammar.Cfg.t -> t
-(** @raise Invalid_argument when the grammar is not {!supported}. *)
+val create : ?policy:policy -> Grammar.Cfg.t -> t
+(** Without [policy] the walks follow the selections they find (first
+    alternatives while undecided) and take no decisions.
+    @raise Invalid_argument when the grammar is not {!supported}. *)
 
 val engine : t -> Query.t
 (** The backing query engine (stats, tests, metrics). *)
@@ -84,17 +123,33 @@ val commit : t -> watermark:int -> Parsedag.Node.t -> unit
     [Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root)]. *)
 
 val touch : t -> Parsedag.Node.t -> unit
-(** Dirty cells that read [n] (a choice node whose selection a semantic
-    filter flipped in place).  Bridge as
-    [Typedefs.on_select tds (Diag.touch d)]. *)
+(** Dirty cells that read [n]: a choice node whose selection something
+    other than this analyzer flipped in place. *)
+
+val on_select : t -> (Parsedag.Node.t -> unit) -> unit
+(** Install a hook called with each choice node whose selection one of
+    this analyzer's decisions changed (for a second analyzer over the
+    same tree, which must {!touch} it). *)
 
 val run : t -> ?typedefs:string list -> Parsedag.Node.t -> result
 (** Analyze the committed tree rooted at [root] (pass the session
     root).  Fetches the per-item cells — recomputing only what the
     edits since the last run invalidated — aggregates, and garbage
-    collects cells for items no longer in the tree.  [typedefs] embeds
-    the semantic-disambiguation layer's view (e.g.
-    [Typedefs.global_typedefs]) in the result. *)
+    collects cells for items no longer in the tree.  The result's
+    [typedefs] are the typedef names exported at top level, or
+    [typedefs] when given. *)
+
+val decide : t -> Parsedag.Node.t -> report
+(** The §4.2 half of {!run} alone: fetch the items' scope cells (taking
+    the decisions under a policy) without resolving names or checking
+    types, and garbage collect. *)
+
+val report : t -> report
+(** The §4.2 report of the last {!run} or {!decide}. *)
+
+val global_typedefs : t -> string list
+(** The typedef names exported at top level as of the last {!run} or
+    {!decide}, sorted. *)
 
 val render : result -> string
 (** Deterministic s-expression rendering: equal results render equal —

@@ -1,37 +1,26 @@
 (** Semantic disambiguation of the C-like subsets (§4.2 of the paper).
 
-    The analysis follows the paper's staging: typedef declarations are
-    gathered into per-scope binding contours in document order; the
-    contour in force at each choice node determines the namespace of the
-    region's leading identifier, which selects the declaration or the
-    expression interpretation.  Unselected alternatives are {e retained}
-    in the dag (semantic filters may need to flip when distant bindings
-    change — §4.2's typedef-removal scenario), and regions that cannot be
-    resolved (unknown names, missing interpretations) keep all their
-    interpretations indefinitely (§4.3).
+    A facade over {!Diag}: an analyzer created with a policy, whose scope
+    walk decides each choice node from the binding contour in force there
+    and retains the unselected alternatives (§4.2's typedef-removal
+    scenario; unresolvable regions keep all interpretations, §4.3).
+    Re-runs are incremental: only items that are new or whose typedef
+    view changed are re-walked, and only the choices in them whose
+    leading identifier's typedef status changed are re-decided.
+    [Diag.create ~policy] takes the same decisions and also produces the
+    diagnostics, from one analyzer. *)
 
-    Decisions are memoized per choice node: a re-run after an edit
-    re-decides only choices that are new, structurally changed, or whose
-    leading identifier's typedef-status changed — the incremental
-    behaviour of the paper's semantic filters. *)
+type policy = Diag.policy = Namespace_only | Prefer_decl
 
-type policy =
-  | Namespace_only
-      (** C: the identifier's namespace decides; a type name in
-          expression position (or vice versa) is a semantic error. *)
-  | Prefer_decl
-      (** C++: when both interpretations remain plausible (the leading
-          identifier names a type), prefer the declaration (§4.1 / ref
-          [3]). *)
-
-type report = {
-  typedefs : int;  (** typedef declarations in scope-collection order *)
-  choices : int;  (** choice nodes visited *)
-  decided : int;  (** decisions computed this run (not memoized) *)
-  reinterpreted : int;  (** decisions that flipped an earlier selection *)
-  unresolved : int;  (** choices left with multiple interpretations *)
-  prefer_decl_applied : int;  (** C++ rule applications *)
-  errors : (string * string) list;  (** (kind, detail) semantic errors *)
+(** See {!Diag.report}. *)
+type report = Diag.report = {
+  typedefs : int;
+  choices : int;
+  decided : int;
+  reinterpreted : int;
+  unresolved : int;
+  prefer_decl_applied : int;
+  errors : (string * string) list;
 }
 
 type t
@@ -39,22 +28,22 @@ type t
     document for incremental behaviour. *)
 
 val create : ?policy:policy -> Grammar.Cfg.t -> t
+(** [policy] defaults to [Namespace_only].
+    @raise Invalid_argument when the grammar is not [Diag.supported]. *)
+
 val analyze : t -> Parsedag.Node.t -> report
+(** Decide the tree's choices ({!Diag.decide}). *)
 
 val engine : t -> Query.t
 (** The query engine backing the decisions (stats, tests). *)
 
 val on_select : t -> (Parsedag.Node.t -> unit) -> unit
-(** Install a hook invoked with each choice node whose selection a
-    decision actually changed — the push-invalidation bridge for
-    downstream analyses whose cells read selections of retained nodes
-    (they [Query.touch_node] the flipped choice on their own engine). *)
+(** {!Diag.on_select}: for a second analyzer over the same tree. *)
 
 (** The selected interpretation of a disambiguated choice node ([None]
     while unresolved).  After selection, tools can treat choice nodes as
     transparent: [chosen] is the embedded-tree view of §4.2(d). *)
 val chosen : Parsedag.Node.t -> Parsedag.Node.t option
 
-(** Typedef names visible at top level after the last run (diagnostics,
-    tests). *)
+(** Typedef names visible at top level after the last run. *)
 val global_typedefs : t -> string list

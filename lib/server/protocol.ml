@@ -263,14 +263,6 @@ let outcome_to_json = function
           ("col", Json.Int location.Session.col);
         ]
 
-let edit_to_json { pos; del; insert } =
-  Json.Obj
-    [
-      ("pos", Json.Int pos);
-      ("del", Json.Int del);
-      ("insert", Json.String insert);
-    ]
-
 let regions_to_json regions =
   Json.List
     (List.map

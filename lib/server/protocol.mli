@@ -133,5 +133,4 @@ val err : ?req:int -> id:Json.t -> rpc_error -> string
 val outcome_to_json : Iglr.Session.outcome -> Json.t
 (** [{"status":"parsed",...stats}] or [{"status":"recovered",...}]. *)
 
-val edit_to_json : edit_op -> Json.t
 val regions_to_json : Iglr.Session.region list -> Json.t

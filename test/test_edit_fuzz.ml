@@ -478,6 +478,106 @@ let query_reuse_replay lang base (seed, count) =
       true)
     edits
 
+(* One scope model, two wirings: a single [Diag.create ~policy] analyzer
+   (a) must agree with the [Typedefs] facade bridged through
+   [on_select]/[Diag.touch] into a policy-free [Diag] (b) — the same
+   renders, the same selections on the dag, the same §4.2 counters —
+   on every committed tree of a random script.  The two wirings run on
+   two sessions replaying the same edits.  Every other edit is a
+   typedef insertion, deletion or rename, so decisions flip often. *)
+let base_typedefs_c =
+  "typedef int t0;\n\
+   typedef int t1;\n\
+   int g0;\n\
+   int f0 () { t0 (a); t1 * b; t2 (c); x (d); return 0; }\n\
+   int f1 () { typedef int t2; t2 (e); t0 * f; { t1 (g); } return 1; }\n\
+   int f2 () { t2 (h); y * i; x (j); return 2; }\n"
+
+let base_typedefs_cpp =
+  base_typedefs_c ^ "class box { t0 w; int h; };\nint f3 () { t1 (k); return new box ( ); }\n"
+
+let typedef_names = [| "t0"; "t1"; "t2"; "x"; "y" |]
+
+(* A typedef edit against [text]: delete or rename an existing
+   top-level typedef, or insert a new one at the front. *)
+let typedef_edit rng text : Edit_gen.edit =
+  let rec occurrences from acc =
+    match Str.search_forward (Str.regexp "^typedef int \\([a-z0-9]+\\);") text from with
+    | i -> occurrences (i + 1) (i :: acc)
+    | exception Not_found -> List.rev acc
+  in
+  let name () = typedef_names.(Random.State.int rng (Array.length typedef_names)) in
+  match occurrences 0 [] with
+  | [] -> { Edit_gen.e_pos = 0; e_del = 0; e_insert = "typedef int " ^ name () ^ ";\n" }
+  | l -> (
+      let at = List.nth l (Random.State.int rng (List.length l)) in
+      let semi = String.index_from text at ';' in
+      match Random.State.int rng 3 with
+      | 0 -> { Edit_gen.e_pos = at; e_del = semi + 1 - at; e_insert = "" }
+      | 1 ->
+          let lo = at + String.length "typedef int " in
+          { Edit_gen.e_pos = lo; e_del = semi - lo; e_insert = name () }
+      | _ -> { Edit_gen.e_pos = 0; e_del = 0; e_insert = "typedef int " ^ name () ^ ";\n" })
+
+let selections root =
+  let acc = ref [] in
+  Node.iter
+    (fun n ->
+      match n.Node.kind with
+      | Node.Choice ci -> acc := ci.Node.selected :: !acc
+      | _ -> ())
+    root;
+  List.rev !acc
+
+let wirings_replay lang base (seed, count) =
+  let g = lang.Language.grammar in
+  let policy = Option.get lang.Language.ambig.Language.sem_policy in
+  let open_session () =
+    match Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang) base with
+    | s, Session.Parsed _ -> s
+    | _, Session.Recovered _ -> QCheck.Test.fail_report "base program rejected"
+  in
+  let sa = open_session () and sb = open_session () in
+  let da = Diag.create ~policy g in
+  Session.on_commit sa (fun ~watermark root -> Diag.commit da ~watermark root);
+  let tds = Typedefs.create ~policy g and db = Diag.create g in
+  Typedefs.on_select tds (Diag.touch db);
+  Session.on_commit sb (fun ~watermark root -> Diag.commit db ~watermark root);
+  let compare_wirings () =
+    let ra = Diag.run da (Session.root sa) in
+    let rep_a = Diag.report da in
+    let rep_b = Typedefs.analyze tds (Session.root sb) in
+    let rb = Diag.run db ~typedefs:(Typedefs.global_typedefs tds) (Session.root sb) in
+    if not (String.equal (Diag.render ra) (Diag.render rb)) then
+      QCheck.Test.fail_reportf "renders differ on %S\n (a):\n%s\n (b):\n%s"
+        (Session.text sa) (Diag.render ra) (Diag.render rb);
+    if
+      Parsedag.Pp.to_sexp g (Session.root sa) <> Parsedag.Pp.to_sexp g (Session.root sb)
+      || selections (Session.root sa) <> selections (Session.root sb)
+    then QCheck.Test.fail_reportf "dags or selections differ on %S" (Session.text sa);
+    if rep_a <> rep_b then
+      QCheck.Test.fail_reportf "typedef reports differ on %S" (Session.text sa)
+  in
+  compare_wirings ();
+  let rng = Random.State.make [| seed |] in
+  for i = 1 to count * 2 do
+    let text = Session.text sa in
+    let e =
+      if i mod 2 = 0 then typedef_edit rng text
+      else List.hd (Edit_gen.random_script ~seed:(seed + i) ~count:1 text)
+    in
+    let step s =
+      Session.edit s ~pos:e.Edit_gen.e_pos ~del:e.Edit_gen.e_del ~insert:e.Edit_gen.e_insert;
+      match Session.reparse s with
+      | Session.Parsed _ -> true
+      | Session.Recovered { isolated; _ } -> isolated > 0
+    in
+    let ca = step sa and cb = step sb in
+    if ca <> cb then QCheck.Test.fail_report "sessions diverged on the same edit";
+    if ca then compare_wirings ()
+  done;
+  true
+
 let arb_script =
   QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
 
@@ -520,6 +620,18 @@ let prop_query_c =
   QCheck.Test.make ~count:40
     ~name:"edit fuzz: C incremental queries = scratch" arb_script
     (query_replay Languages.C_subset.language base_c)
+
+let prop_wirings_c =
+  QCheck.Test.make ~count:40
+    ~name:"edit fuzz: C one policy analyzer = typedefs facade + bridge"
+    arb_script
+    (wirings_replay Languages.C_subset.language base_typedefs_c)
+
+let prop_wirings_cpp =
+  QCheck.Test.make ~count:40
+    ~name:"edit fuzz: C++ one policy analyzer = typedefs facade + bridge"
+    arb_script
+    (wirings_replay Languages.Cpp_subset.language base_typedefs_cpp)
 
 let prop_query_reuse_calc =
   QCheck.Test.make ~count:25
@@ -588,6 +700,8 @@ let suite =
     Test_seed.to_alcotest prop_query_c;
     Test_seed.to_alcotest prop_query_reuse_calc;
     Test_seed.to_alcotest prop_query_reuse_c;
+    Test_seed.to_alcotest prop_wirings_c;
+    Test_seed.to_alcotest prop_wirings_cpp;
     Test_seed.to_alcotest prop_fault_calc;
     Test_seed.to_alcotest prop_fault_c;
     Alcotest.test_case "reuse invariant: single-token edit >= 90%" `Quick

@@ -6,6 +6,7 @@ module Node = Parsedag.Node
 module Session = Iglr.Session
 module Language = Languages.Language
 module Typedefs = Semantics.Typedefs
+module Diag = Semantics.Diag
 
 let c = Languages.C_subset.language
 let cpp = Languages.Cpp_subset.language
@@ -207,6 +208,103 @@ let test_workload_all_resolved () =
   Alcotest.(check int) "all resolved" 0 r.Typedefs.unresolved;
   Alcotest.(check int) "no semantic errors" 0 (List.length r.Typedefs.errors)
 
+(* One analyzer, [Diag.create ~policy]: a typedef declared in a function
+   body decides the choices of that body, nested blocks included, and
+   none outside it. *)
+let test_local_typedef_scope () =
+  let s =
+    session c "int f () { typedef int a; a (b); { a (c); } }\nint g () { a (d); }"
+  in
+  let d = Diag.create ~policy:Diag.Namespace_only c.Language.grammar in
+  let r = Diag.run d (Session.root s) in
+  let rep = Diag.report d in
+  Alcotest.(check int) "three choices" 3 rep.Diag.choices;
+  Alcotest.(check int) "all decided" 0 rep.Diag.unresolved;
+  Alcotest.(check (list string)) "no typedef at top level" [] r.Diag.typedefs;
+  match choices (Session.root s) with
+  | [ body; nested; outside ] ->
+      Alcotest.(check bool) "body: declaration" true
+        (selected_kind c body = `Decl);
+      Alcotest.(check bool) "nested block: declaration" true
+        (selected_kind c nested = `Decl);
+      Alcotest.(check bool) "other function: call" true
+        (selected_kind c outside = `Expr)
+  | l -> Alcotest.failf "expected three choice nodes, got %d" (List.length l)
+
+(* Renaming a typedef re-walks only the items whose choices are led by
+   the old or the new name: the typedef's own (rebuilt) item, [f] and
+   [g].  The twenty unrelated functions validate clean. *)
+let test_typedef_rename_recomputes_dependents () =
+  let unrelated =
+    String.concat "\n"
+      (List.init 20 (fun i -> Printf.sprintf "int u%d () { return %d; }" i i))
+  in
+  let text =
+    "typedef int a;\nint f () { a (x); }\nint g () { b (y); }\n" ^ unrelated
+  in
+  let s = session c text in
+  let d = Diag.create ~policy:Diag.Namespace_only c.Language.grammar in
+  Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root);
+  ignore (Diag.run d (Session.root s));
+  Session.edit s ~pos:12 ~del:1 ~insert:"b";
+  (match Session.reparse s with
+  | Session.Parsed _ -> ()
+  | Session.Recovered _ -> Alcotest.fail "reparse failed");
+  let computes () = (Query.stats (Diag.engine d)).Query.computes in
+  let c0 = computes () in
+  let r = Diag.run d (Session.root s) in
+  let recomputed = computes () - c0 in
+  let rep = Diag.report d in
+  Alcotest.(check (list string)) "renamed typedef" [ "b" ] r.Diag.typedefs;
+  Alcotest.(check int) "both dependent choices re-decided" 2 rep.Diag.decided;
+  Alcotest.(check int) "both flipped" 2 rep.Diag.reinterpreted;
+  (* The typedef item's four cells (leads, scope, resolve, types) and
+     the scope, resolve and types cells of [f] and [g]. *)
+  Alcotest.(check int) "only dependent items recomputed" 10 recomputed;
+  match choices (Session.root s) with
+  | [ in_f; in_g ] ->
+      Alcotest.(check bool) "a (x) now a call" true (selected_kind c in_f = `Expr);
+      Alcotest.(check bool) "b (y) now a declaration" true
+        (selected_kind c in_g = `Decl)
+  | l -> Alcotest.failf "expected two choice nodes, got %d" (List.length l)
+
+(* A syntax error isolated inside a function body leaves an error node
+   next to the body's choice; the choice is still decided. *)
+let test_choice_in_recovered_region () =
+  let text = "typedef int a;\nint f () { a (b); c d e ; }" in
+  let s, outcome =
+    Session.create ~table:(Language.table c) ~lexer:(Language.lexer c) text
+  in
+  (match outcome with
+  | Session.Recovered _ -> ()
+  | Session.Parsed _ -> Alcotest.fail "expected a recovered parse");
+  let has_error (n : Node.t) =
+    let found = ref false in
+    Node.iter
+      (fun k -> match k.Node.kind with Node.Error _ -> found := true | _ -> ())
+      n;
+    !found
+  in
+  let d = Diag.create ~policy:Diag.Namespace_only c.Language.grammar in
+  ignore (Diag.run d (Session.root s));
+  let rep = Diag.report d in
+  Alcotest.(check int) "one choice" 1 rep.Diag.choices;
+  Alcotest.(check int) "decided" 0 rep.Diag.unresolved;
+  match choices (Session.root s) with
+  | [ amb ] ->
+      let g = c.Language.grammar in
+      let rec func_def (n : Node.t) =
+        match (Node.symbol g n, n.Node.parent) with
+        | `N nt, _ when Grammar.Cfg.nonterminal_name g nt = "func_def" -> n
+        | _, Some p -> func_def p
+        | _, None -> Alcotest.fail "choice outside any function"
+      in
+      Alcotest.(check bool) "error node in the same function" true
+        (has_error (func_def amb));
+      Alcotest.(check bool) "a (b) is a declaration" true
+        (selected_kind c amb = `Decl)
+  | l -> Alcotest.failf "expected one choice node, got %d" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "typedef decides namespaces" `Quick test_typedef_decides;
@@ -223,4 +321,10 @@ let suite =
     Alcotest.test_case "global typedefs" `Quick test_global_typedefs;
     Alcotest.test_case "workload fully resolvable" `Quick
       test_workload_all_resolved;
+    Alcotest.test_case "local typedef decides only its body" `Quick
+      test_local_typedef_scope;
+    Alcotest.test_case "typedef rename recomputes dependents only" `Quick
+      test_typedef_rename_recomputes_dependents;
+    Alcotest.test_case "choice next to a recovered error decided" `Quick
+      test_choice_in_recovered_region;
   ]
