@@ -714,54 +714,20 @@ let diag_cmd =
     in
     let d = Semantics.Diag.create ?policy grammar in
     let r = Semantics.Diag.run d (Iglr.Session.root s) in
-    let loc tok = Iglr.Session.location_of_token s tok in
+    let loc tok =
+      let l = Iglr.Session.location_of_token s tok in
+      (l.Iglr.Session.line, l.Iglr.Session.col)
+    in
     if json then
       print_envelope ~tool:"diag"
         [
           envelope_doc ~tool:"diag"
-            [
-              ("language", Metrics.Json.String name);
-              ( "syntax_errors",
-                Metrics.Json.Int (match syntax_error with
-                  | Some _ -> 1
-                  | None -> 0) );
-              ( "diagnostics",
-                Metrics.Json.List
-                  (List.map
-                     (fun (dg : Semantics.Diag.diag) ->
-                       let l = loc dg.Semantics.Diag.d_token in
-                       Metrics.Json.Obj
-                         [
-                           ("code", Metrics.Json.String dg.Semantics.Diag.d_code);
-                           ("line", Metrics.Json.Int l.Iglr.Session.line);
-                           ("col", Metrics.Json.Int l.Iglr.Session.col);
-                           ("token", Metrics.Json.Int dg.Semantics.Diag.d_token);
-                           ( "message",
-                             Metrics.Json.String dg.Semantics.Diag.d_message );
-                         ])
-                     r.Semantics.Diag.diags) );
-              ( "bindings",
-                Metrics.Json.List
-                  (List.map
-                     (fun (b : Semantics.Diag.binding) ->
-                       Metrics.Json.Obj
-                         [
-                           ("name", Metrics.Json.String b.Semantics.Diag.b_name);
-                           ( "kind",
-                             Metrics.Json.String
-                               (Semantics.Diag.kind_name
-                                  b.Semantics.Diag.b_kind) );
-                           ( "type",
-                             Metrics.Json.String
-                               (Semantics.Diag.ty_name b.Semantics.Diag.b_ty) );
-                         ])
-                     r.Semantics.Diag.bindings) );
-              ( "typedefs",
-                Metrics.Json.List
-                  (List.map
-                     (fun n -> Metrics.Json.String n)
-                     r.Semantics.Diag.typedefs) );
-            ];
+            (("language", Metrics.Json.String name)
+            :: ( "syntax_errors",
+                 Metrics.Json.Int (match syntax_error with
+                   | Some _ -> 1
+                   | None -> 0) )
+            :: Semantics.Diag.to_json ~loc r);
         ]
     else begin
       (match syntax_error with
@@ -771,9 +737,8 @@ let diag_cmd =
       | None -> ());
       List.iter
         (fun (dg : Semantics.Diag.diag) ->
-          let l = loc dg.Semantics.Diag.d_token in
-          Printf.printf "%d:%d: %s: %s\n" l.Iglr.Session.line
-            l.Iglr.Session.col dg.Semantics.Diag.d_code
+          let line, col = loc dg.Semantics.Diag.d_token in
+          Printf.printf "%d:%d: %s: %s\n" line col dg.Semantics.Diag.d_code
             dg.Semantics.Diag.d_message)
         r.Semantics.Diag.diags;
       Printf.printf "%d diagnostic(s), %d binding(s), %d typedef(s)\n"
@@ -1101,21 +1066,7 @@ let explain_cmd =
     Trace.set_enabled false;
     guard_dag "explain" lang session;
     let r = Trace.Explain.of_events (Trace.events ()) in
-    (* Token offset -> character offset, via the document's leaf array. *)
-    let leaves = Vdoc.Document.leaves (Iglr.Session.document session) in
-    let char_offset tok =
-      let off = ref 0 in
-      for i = 0 to min tok (Array.length leaves) - 1 do
-        match leaves.(i).Parsedag.Node.kind with
-        | Parsedag.Node.Term t ->
-            off :=
-              !off
-              + String.length t.Parsedag.Node.trivia
-              + String.length t.Parsedag.Node.text
-        | _ -> ()
-      done;
-      !off
-    in
+    let char_offset = Vdoc.Document.token_offset (Iglr.Session.document session) in
     let pos, del, insert = List.nth edits (n - 1) in
     Printf.printf "edit %d/%d: pos=%d del=%d insert=%S\n" n n pos del insert;
     Printf.printf "relex: %d token(s) rescanned, %d kept\n" r.Trace.Explain.tokens_relexed

@@ -1,6 +1,6 @@
 module Node = Parsedag.Node
 module Document = Vdoc.Document
-module Cfg = Grammar.Cfg
+module Sequence = Parsedag.Sequence
 
 (* Reparse latency distribution across every session in the process;
    log-ish bucket bounds in milliseconds. *)
@@ -100,44 +100,11 @@ let measure f =
 (* ------------------------------------------------------------------ *)
 (* Locations.                                                          *)
 
-(* Byte offset of token [k]'s text start (skipping its leading trivia);
-   [k] may equal the token count, giving the end of the last token. *)
 let location_of_token t k =
-  let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
-  let k = max 0 (min k n) in
-  let byte = ref 0 in
-  for i = 0 to k - 1 do
-    match leaves.(i).Node.kind with
-    | Node.Term inf ->
-        byte := !byte + String.length inf.Node.trivia + String.length inf.Node.text
-    | _ -> ()
-  done;
-  (if k < n then
-     match leaves.(k).Node.kind with
-     | Node.Term inf -> byte := !byte + String.length inf.Node.trivia
-     | _ -> ());
-  let text = Document.text t.doc in
-  let byte = min !byte (String.length text) in
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to byte - 1 do
-    if text.[i] = '\n' then begin
-      incr line;
-      bol := i + 1
-    end
-  done;
-  { offset_tokens = k; offset_bytes = byte; line = !line; col = byte - !bol + 1 }
-
-let token_end_byte t j =
-  let leaves = Document.leaves t.doc in
-  let b = ref 0 in
-  for i = 0 to min j (Array.length leaves - 1) do
-    match leaves.(i).Node.kind with
-    | Node.Term inf ->
-        b := !b + String.length inf.Node.trivia + String.length inf.Node.text
-    | _ -> ()
-  done;
-  !b
+  let k = max 0 (min k (Document.token_count t.doc)) in
+  let byte = Document.lexeme_offset t.doc k in
+  let line, col = Document.line_col t.doc byte in
+  { offset_tokens = k; offset_bytes = byte; line; col }
 
 (* ------------------------------------------------------------------ *)
 (* Local error isolation (§4.3 extended): mask the smallest enclosing
@@ -149,76 +116,69 @@ let token_end_byte t j =
 
 let grammar t = Lrtab.Table.grammar t.table
 
-(* [n] is a sequence element: its parent — through choice wrappers — is a
-   [Seq_one]/[Seq_cons] production of a sequence nonterminal with [n] in
-   the element slot (the last kid in every spine pattern). *)
-let rec is_seq_element g (n : Node.t) =
-  match n.Node.parent with
-  | None -> false
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Choice _ -> is_seq_element g p
-      | Node.Prod pr -> (
-          let prod = Cfg.production g pr in
-          Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq
-          &&
-          match prod.Cfg.role with
-          | Cfg.Seq_one | Cfg.Seq_cons ->
-              Array.length p.Node.kids > 0
-              && p.Node.kids.(Array.length p.Node.kids - 1) == n
-          | Cfg.Seq_empty | Cfg.Plain -> false)
-      | _ -> false)
-
-let span_of idx_tbl (u : Node.t) =
-  match Node.first_terminal u with
-  | Some ft -> (
-      match Hashtbl.find_opt idx_tbl ft.Node.nid with
-      | Some lo -> Some (lo, lo + Node.token_count u - 1)
-      | None -> None)
-  | None -> None
+(* The damaged regions of the tree in source order, as leaf spans: error
+   nodes ([Some e]; an error node's kids are leaves, so each is the
+   parent of a leaf) and maximal runs of terminals flagged by flag-only
+   recovery outside them ([None]). *)
+let damaged t =
+  let leaves = Document.leaves t.doc in
+  let n = Array.length leaves in
+  let error_of i =
+    match leaves.(i).Node.parent with
+    | Some ({ Node.kind = Node.Error _; _ } as e) -> Some e
+    | _ -> None
+  in
+  let loose i = i < n && leaves.(i).Node.error && error_of i = None in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else
+      match error_of i with
+      | Some e ->
+          let lo, hi = Document.ancestor_span t.doc i e in
+          scan (hi + 1) ((lo, hi, Some e) :: acc)
+      | None when loose i ->
+          let rec last j = if loose (j + 1) then last (j + 1) else j in
+          let j = last i in
+          scan (j + 1) ((i, j, None) :: acc)
+      | None -> scan (i + 1) acc
+  in
+  scan 0 []
 
 (* Smallest isolation unit containing leaf [i], as a leaf-index span:
    the span of the enclosing error node when [i] sits in an already
    isolated region (keeps the region stable across reparses instead of
    widening to the enclosing statement), else the enclosing sequence
    element, else the single token itself. *)
-let unit_around t idx_tbl i =
+let unit_around t i =
   let g = grammar t in
-  let leaves = Document.leaves t.doc in
-  let existing =
-    match leaves.(i).Node.parent with
-    | Some ({ Node.kind = Node.Error _; _ } as e) -> span_of idx_tbl e
-    | _ -> None
-  in
-  match existing with
-  | Some s -> s
-  | None -> (
+  let span = Document.ancestor_span t.doc i in
+  let leaf = (Document.leaves t.doc).(i) in
+  match leaf.Node.parent with
+  | Some ({ Node.kind = Node.Error _; _ } as e) -> span e
+  | _ ->
       let rec climb (n : Node.t) =
-        if is_seq_element g n then
-          match span_of idx_tbl n with Some s -> Some s | None -> None
-        else match n.Node.parent with Some p -> climb p | None -> None
+        if Sequence.is_element g n then span n
+        else match n.Node.parent with Some p -> climb p | None -> (i, i)
       in
-      match climb leaves.(i) with Some s -> s | None -> (i, i))
+      climb leaf
 
 (* Strictly larger covering unit of run [(lo, hi)], or — when no such
    unit exists (a structureless tree, e.g. after an initial parse
    failure) — the run widened by its own width on each side, so repeated
    escalation reaches an isolable region in logarithmically many
    attempts instead of creeping one token per attempt. *)
-let escalate t idx_tbl (lo, hi) =
+let escalate t (lo, hi) =
   let g = grammar t in
   let leaves = Document.leaves t.doc in
   let n = Array.length leaves in
   let rec climb (x : Node.t) =
     match x.Node.parent with
     | None -> None
-    | Some p ->
-        if is_seq_element g p then
-          match span_of idx_tbl p with
-          | Some (l, h) when l <= lo && hi <= h && (l < lo || hi < h) ->
-              Some (l, h)
-          | _ -> climb p
-        else climb p
+    | Some p when Sequence.is_element g p -> (
+        match Document.ancestor_span t.doc lo p with
+        | l, h when l <= lo && hi <= h && (l < lo || hi < h) -> Some (l, h)
+        | _ -> climb p)
+    | Some p -> climb p
   in
   match climb leaves.(lo) with
   | Some r -> r
@@ -263,27 +223,20 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
   let n = Array.length leaves in
   if n = 0 then None
   else begin
-    let idx_tbl = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun i (l : Node.t) -> Hashtbl.replace idx_tbl l.Node.nid i)
-      leaves;
     (* Seed: the unit around the failure point, plus spans of existing
        error regions with no pending edits (their text is still broken).
        A region the user just edited is *not* seeded — it gets its chance
        to integrate cleanly, and is re-added below only if it still
        fails. *)
     let runs =
-      ref [ unit_around t idx_tbl (max 0 (min error.Glr.offset_tokens (n - 1))) ]
+      ref
+        (unit_around t (max 0 (min error.Glr.offset_tokens (n - 1)))
+        :: List.filter_map
+             (function
+               | lo, hi, Some e when not (Node.has_changes e) -> Some (lo, hi)
+               | _ -> None)
+             (damaged t))
     in
-    Node.iter
-      (fun (e : Node.t) ->
-        match e.Node.kind with
-        | Node.Error _ when not (Node.has_changes e) -> (
-            match span_of idx_tbl e with
-            | Some s -> runs := s :: !runs
-            | None -> ())
-        | _ -> ())
-      (Document.root t.doc);
     let result = ref None in
     let prev_total = ref 0 in
     let attempts = ref 0 in
@@ -329,7 +282,7 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
                (* Every token is masked and the empty program still fails:
                   nothing left to isolate. *)
                raise Give_up;
-             let ((ulo, uhi) as u) = unit_around t idx_tbl at in
+             let ((ulo, uhi) as u) = unit_around t at in
              let adjacent (lo, hi) = at >= lo - 1 && at <= hi + 1 in
              let candidate = normalize_runs (u :: rs) in
              (* A degenerate unit (single token, no enclosing structure)
@@ -344,7 +297,7 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
                   the run nearest the new failure point. *)
                runs :=
                  List.map
-                   (fun r -> if adjacent r then escalate t idx_tbl r else r)
+                   (fun r -> if adjacent r then escalate t r else r)
                    rs
          | exception Glr.Budget_exhausted _ ->
              (* Out of budget mid-isolation: restore and degrade to
@@ -552,47 +505,15 @@ let edit t ~pos ~del ~insert = owned t (fun () -> edit_owned t ~pos ~del ~insert
 (* Error-region reporting.                                             *)
 
 let error_regions t =
-  let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
-  let idx_tbl = Hashtbl.create (2 * max 1 n) in
-  Array.iteri
-    (fun i (l : Node.t) -> Hashtbl.replace idx_tbl l.Node.nid i)
-    leaves;
-  let raw = ref [] in
-  Node.iter
-    (fun (e : Node.t) ->
-      match e.Node.kind with
-      | Node.Error info -> (
-          match span_of idx_tbl e with
-          | Some (lo, hi) -> raw := (lo, hi - lo + 1, info.Node.message) :: !raw
-          | None -> ())
-      | _ -> ())
-    (Document.root t.doc);
-  (* Flag-only recovery leaves error bits on terminals outside any error
-     node: report maximal runs of those too. *)
-  let inside_error (l : Node.t) =
-    match l.Node.parent with
-    | Some { Node.kind = Node.Error _; _ } -> true
-    | _ -> false
-  in
-  let flagged i = leaves.(i).Node.error && not (inside_error leaves.(i)) in
-  let i = ref 0 in
-  while !i < n do
-    if flagged !i then begin
-      let j = ref !i in
-      while !j + 1 < n && flagged (!j + 1) do
-        incr j
-      done;
-      raw := (!i, !j - !i + 1, "unincorporated edit") :: !raw;
-      i := !j + 1
-    end
-    else incr i
-  done;
-  List.sort compare !raw
-  |> List.map (fun (lo, k, msg) ->
-         {
-           r_start = location_of_token t lo;
-           r_end_byte = token_end_byte t (lo + k - 1);
-           r_tokens = k;
-           r_message = msg;
-         })
+  List.map
+    (fun (lo, hi, e) ->
+      {
+        r_start = location_of_token t lo;
+        r_end_byte = Document.token_offset t.doc (hi + 1);
+        r_tokens = hi - lo + 1;
+        r_message =
+          (match e with
+          | Some { Node.kind = Node.Error info; _ } -> info.Node.message
+          | _ -> "unincorporated edit");
+      })
+    (damaged t)

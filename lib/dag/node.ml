@@ -144,6 +144,13 @@ let text_yield n =
 
 let token_count n = n.tcount
 
+let tokens_before n j =
+  let c = ref 0 in
+  for i = 0 to j - 1 do
+    c := !c + n.kids.(i).tcount
+  done;
+  !c
+
 let refresh_token_count n =
   n.tcount <-
     (match n.kind with

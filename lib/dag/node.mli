@@ -114,6 +114,11 @@ val text_yield : t -> string
     choices; sentinels count as 0).  O(1): reads the cached count. *)
 val token_count : t -> int
 
+(** [tokens_before n j] — terminal leaves under kids [0..j-1] of [n]: the
+    token offset of kid [j] from the start of [n] (except under a
+    choice, whose kids are alternatives).  O(j). *)
+val tokens_before : t -> int -> int
+
 (** Recompute this node's cached count from its kids (after replacing the
     kid array wholesale). *)
 val refresh_token_count : t -> unit

@@ -15,26 +15,60 @@ let spine_role g (n : Node.t) =
       if Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq then Some (prod, n) else None
   | _ -> None
 
-let elements g node =
-  let rec collect (n : Node.t) acc =
+let elements_at g node =
+  (* [base] is the token offset of [n] from the start of [node]; an
+     element's offset counts every kid before it (separators, spliced
+     error nodes). *)
+  let rec collect (n : Node.t) base acc =
     match spine_role g n with
-    | None -> n :: acc
+    | None -> (base, n) :: acc
     | Some (prod, n) -> (
         match prod.Cfg.role with
         | Cfg.Seq_empty -> acc
-        | Cfg.Seq_one -> n.Node.kids.(0) :: acc
+        | Cfg.Seq_one -> (base, n.Node.kids.(0)) :: acc
         | Cfg.Seq_cons ->
             (* [L -> L elem] or [L -> L sep elem]. *)
-            collect n.Node.kids.(0)
-              (n.Node.kids.(Array.length n.Node.kids - 1) :: acc)
+            let last = Array.length n.Node.kids - 1 in
+            collect n.Node.kids.(0) base
+              ((base + Node.tokens_before n last, n.Node.kids.(last)) :: acc)
         | Cfg.Plain ->
             (* A wrapper such as the separated star's [L -> L1]. *)
-            if Array.length n.Node.kids = 1 then collect n.Node.kids.(0) acc
-            else n :: acc)
+            if Array.length n.Node.kids = 1 then collect n.Node.kids.(0) base acc
+            else (base, n) :: acc)
   in
-  collect node []
+  collect node 0 []
+
+let elements g node = List.map snd (elements_at g node)
 
 let spine_depth g node = List.length (elements g node)
+
+let rec is_element g (n : Node.t) =
+  match n.Node.parent with
+  | None -> false
+  | Some p -> (
+      match p.Node.kind with
+      | Node.Choice _ -> is_element g p
+      | Node.Prod pr -> (
+          let prod = Cfg.production g pr in
+          Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq
+          &&
+          match prod.Cfg.role with
+          | Cfg.Seq_one | Cfg.Seq_cons ->
+              (* The element slot is the last kid in every spine pattern. *)
+              Array.length p.Node.kids > 0
+              && p.Node.kids.(Array.length p.Node.kids - 1) == n
+          | Cfg.Seq_empty | Cfg.Plain -> false)
+      | _ -> false)
+
+let is_interior g (n : Node.t) =
+  match n.Node.parent with
+  | Some ({ Node.kind = Node.Prod q; _ } as p) ->
+      let prod = Cfg.production g q in
+      prod.Cfg.role = Cfg.Seq_cons
+      && Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq
+      && Array.length p.Node.kids > 0
+      && p.Node.kids.(0) == n
+  | _ -> false
 
 let rec max_depth (n : Node.t) =
   let n = resolve_choice n in

@@ -9,12 +9,21 @@ let m_relex_span = Metrics.timer "vdoc.relex"
 let m_tokens_relexed = Metrics.counter "vdoc.tokens_relexed"
 let m_tokens_reused = Metrics.counter "vdoc.tokens_reused"
 
+(* The position map of one version: [starts.(i)] is the byte offset of
+   leaf [i]'s leading trivia, [starts.(n)] the end of the last token.
+   [edit] rebuilds it with the leaves; line starts are computed on the
+   first line query of a version. *)
 type t = {
   lexer : Lexgen.Spec.t;
   mutable root : Node.t;
   mutable leaves : Node.t array;
+  mutable starts : int array;
+  mutable lines : int array option;
   mutable text : string;
 }
+
+let token_length (tok : Scanner.token) =
+  String.length tok.Scanner.trivia + String.length tok.Scanner.text
 
 let node_of_token (tok : Scanner.token) =
   Node.make_term ~term:tok.Scanner.term ~text:tok.Scanner.text
@@ -31,13 +40,43 @@ let create ~lexer text =
          [ [| Node.make_bos () |]; leaves; [| Node.make_eos ~trailing |] ])
   in
   Node.commit root;
-  { lexer; root; leaves; text }
+  let starts = Array.make (Array.length leaves + 1) 0 in
+  List.iteri
+    (fun i tok -> starts.(i + 1) <- starts.(i) + token_length tok)
+    tokens;
+  { lexer; root; leaves; starts; lines = None; text }
 
 let root t = t.root
 let text t = t.text
 let length t = String.length t.text
 let leaves t = t.leaves
 let token_count t = Array.length t.leaves
+
+(* ------------------------------------------------------------------ *)
+(* Positions.                                                          *)
+
+let token_offset t k = t.starts.(max 0 (min k (Array.length t.leaves)))
+
+let lexeme_offset t k =
+  if k < 0 || k >= Array.length t.leaves then token_offset t k
+  else
+    match t.leaves.(k).Node.kind with
+    | Node.Term i -> t.starts.(k) + String.length i.Node.trivia
+    | _ -> t.starts.(k)
+
+let line_col t byte =
+  let lines =
+    match t.lines with
+    | Some l -> l
+    | None ->
+        let l = ref [ 0 ] in
+        String.iteri (fun i c -> if c = '\n' then l := (i + 1) :: !l) t.text;
+        let l = Array.of_list (List.rev !l) in
+        t.lines <- Some l;
+        l
+  in
+  let line = Relex.search lines ~lo:0 ~hi:(Array.length lines) (byte + 1) in
+  (line, byte - lines.(line - 1) + 1)
 
 let index_in_parent (p : Node.t) (n : Node.t) =
   let rec find i =
@@ -48,35 +87,41 @@ let index_in_parent (p : Node.t) (n : Node.t) =
   in
   find 0
 
-let remove_from_parent (n : Node.t) =
+let ancestor_span t i (a : Node.t) =
+  (* Climb from the leaf, subtracting the tokens of every kid left of the
+     path (none below a choice: alternatives share one yield). *)
+  let rec climb (n : Node.t) lo =
+    if n == a then (lo, lo + Node.token_count a - 1)
+    else
+      match n.Node.parent with
+      | None -> invalid_arg "Document.ancestor_span: not an ancestor"
+      | Some ({ Node.kind = Node.Choice _; _ } as p) -> climb p lo
+      | Some p -> climb p (lo - Node.tokens_before p (index_in_parent p n))
+  in
+  climb t.leaves.(i) i
+
+(* [a] with [drop] elements at [at] replaced by [b]. *)
+let splice a ~at ~drop b =
+  Array.concat
+    [ Array.sub a 0 at; b; Array.sub a (at + drop) (Array.length a - at - drop) ]
+
+(* Unlink [n] from its parent; returns the parent and the slot it held. *)
+let unlink (n : Node.t) =
   match n.Node.parent with
   | None -> invalid_arg "Document: leaf without parent"
   | Some p ->
       let i = index_in_parent p n in
-      p.Node.kids <-
-        Array.append (Array.sub p.Node.kids 0 i)
-          (Array.sub p.Node.kids (i + 1) (Array.length p.Node.kids - i - 1));
+      p.Node.kids <- splice p.Node.kids ~at:i ~drop:1 [||];
       Node.adjust_token_count p (-Node.token_count n);
-      Node.mark_changed p
+      Node.mark_changed p;
+      (p, i)
 
-let insert_kids (p : Node.t) ~at (nodes : Node.t array) =
-  p.Node.kids <-
-    Array.concat
-      [
-        Array.sub p.Node.kids 0 at;
-        nodes;
-        Array.sub p.Node.kids at (Array.length p.Node.kids - at);
-      ];
-  let added =
-    Array.fold_left (fun acc k -> acc + Node.token_count k) 0 nodes
-  in
-  Node.adjust_token_count p added;
-  Array.iter
-    (fun k ->
-      k.Node.parent <- Some p;
-      Node.mark_changed k)
-    nodes;
-  Node.mark_changed p
+(* Insert [nodes] as kids of [p] at slot [at], keeping counts exact. *)
+let link (p : Node.t) ~at nodes =
+  p.Node.kids <- splice p.Node.kids ~at ~drop:0 nodes;
+  Array.iter (fun (k : Node.t) -> k.Node.parent <- Some p) nodes;
+  Node.adjust_token_count p
+    (Array.fold_left (fun acc k -> acc + Node.token_count k) 0 nodes)
 
 let eos_of t = t.root.Node.kids.(Array.length t.root.Node.kids - 1)
 
@@ -105,103 +150,97 @@ let edit t ~pos ~del ~insert =
   let r =
     Trace.span Trace.Relex "relex" @@ fun () ->
     Metrics.time m_relex_span (fun () ->
-        Relex.relex ~lexer:t.lexer ~old_text:t.text ~leaves:t.leaves ~pos ~del
-          ~insert ~new_text)
+        Relex.relex ~lexer:t.lexer ~leaves:t.leaves ~starts:t.starts ~pos
+          ~del ~insert ~new_text)
   in
   let n = Array.length t.leaves in
+  let toks = Array.of_list r.Relex.tokens in
+  let m = Array.length toks in
+  (* The new position map: the kept prefix, the relexed run, then the
+     suffix shifted by the edit's length change. *)
+  let n' = n - r.Relex.replaced + m in
+  let starts = Array.make (n' + 1) 0 in
+  Array.blit t.starts 0 starts 0 (r.Relex.first + 1);
+  Array.iteri
+    (fun k tok ->
+      let i = r.Relex.first + k in
+      starts.(i + 1) <- starts.(i) + token_length tok)
+    toks;
+  let delta = String.length insert - del in
+  for i = r.Relex.first + m + 1 to n' do
+    starts.(i) <- t.starts.(i - m + r.Relex.replaced) + delta
+  done;
   (* Trim replacement tokens that are identical to the leaves they would
      replace (tokens rescanned only because their lookahead reached the
      edit): keeping the old nodes preserves subtree reuse around the
-     damage. *)
-  let token_equals_leaf (tok : Scanner.token) (leaf : Node.t) =
-    match leaf.Node.kind with
-    | Node.Term i ->
-        i.Node.term = tok.Scanner.term
-        && String.equal i.Node.text tok.Scanner.text
-        && String.equal i.Node.trivia tok.Scanner.trivia
-        && i.Node.lex_la = tok.Scanner.lookahead
+     damage.  [k] indexes the tokens, [i] the old leaves. *)
+  let same k i =
+    match t.leaves.(i).Node.kind with
+    | Node.Term l ->
+        l.Node.term = toks.(k).Scanner.term
+        && String.equal l.Node.text toks.(k).Scanner.text
+        && String.equal l.Node.trivia toks.(k).Scanner.trivia
+        && l.Node.lex_la = toks.(k).Scanner.lookahead
     | _ -> false
   in
-  let r =
-    let first = ref r.Relex.first
-    and replaced = ref r.Relex.replaced
-    and tokens = ref r.Relex.tokens in
-    while
-      !replaced > 0 && !tokens <> []
-      && token_equals_leaf (List.hd !tokens) t.leaves.(!first)
-    do
-      incr first;
-      decr replaced;
-      tokens := List.tl !tokens
-    done;
-    let rev = ref (List.rev !tokens) in
-    while
-      !replaced > 0 && !rev <> []
-      && token_equals_leaf (List.hd !rev) t.leaves.(!first + !replaced - 1)
-    do
-      decr replaced;
-      rev := List.tl !rev
-    done;
-    {
-      r with
-      Relex.first = !first;
-      replaced = !replaced;
-      tokens = List.rev !rev;
-    }
+  let front = ref 0 and back = ref 0 in
+  while
+    !front < min m r.Relex.replaced && same !front (r.Relex.first + !front)
+  do
+    incr front
+  done;
+  while
+    !back < min (m - !front) (r.Relex.replaced - !front)
+    && same (m - 1 - !back) (r.Relex.first + r.Relex.replaced - 1 - !back)
+  do
+    incr back
+  done;
+  let first = r.Relex.first + !front
+  and replaced = r.Relex.replaced - !front - !back in
+  let new_terms =
+    Array.map node_of_token (Array.sub toks !front (m - !front - !back))
   in
   Metrics.incr m_edits;
-  Metrics.add m_tokens_relexed (List.length r.Relex.tokens);
-  Metrics.add m_tokens_reused (n - r.Relex.replaced);
+  Metrics.add m_tokens_relexed (Array.length new_terms);
+  Metrics.add m_tokens_reused (n - replaced);
   (* The splice decision after trimming: which leaves the edit actually
      replaced versus kept (the relex half of the reuse story). *)
   if Trace.enabled () then
     Trace.instant Trace.Relex "splice"
       [
-        ("first", Trace.Int r.Relex.first);
-        ("replaced", Trace.Int r.Relex.replaced);
-        ("inserted", Trace.Int (List.length r.Relex.tokens));
-        ("relexed", Trace.Int (List.length r.Relex.tokens));
-        ("reused", Trace.Int (n - r.Relex.replaced));
+        ("first", Trace.Int first);
+        ("replaced", Trace.Int replaced);
+        ("inserted", Trace.Int (Array.length new_terms));
+        ("relexed", Trace.Int (Array.length new_terms));
+        ("reused", Trace.Int (n - replaced));
       ];
-  let new_terms = Array.of_list (List.map node_of_token r.Relex.tokens) in
   (* Splice into the tree: the replacement terminals take the tree position
      of the first replaced leaf (or sit just before eos when appending);
      the remaining replaced leaves are unlinked from their own parents. *)
-  if r.Relex.replaced > 0 || Array.length new_terms > 0 then begin
-    let insert_parent, insert_at =
-      if r.Relex.first < n then begin
-        let anchor = t.leaves.(r.Relex.first) in
-        match anchor.Node.parent with
-        | Some p -> (p, index_in_parent p anchor)
-        | None -> invalid_arg "Document: leaf without parent"
-      end
-      else
-        let eos = eos_of t in
-        match eos.Node.parent with
-        | Some p -> (p, index_in_parent p eos)
-        | None -> invalid_arg "Document: eos without parent"
+  if replaced > 0 || Array.length new_terms > 0 then begin
+    let anchor = if first < n then t.leaves.(first) else eos_of t in
+    let p, at =
+      match anchor.Node.parent with
+      | Some p -> (p, index_in_parent p anchor)
+      | None -> invalid_arg "Document: leaf without parent"
     in
-    (* Unlink replaced leaves.  The anchor's slot index was captured above;
-       removing the anchor first keeps [insert_at] pointing at its spot. *)
-    for i = r.Relex.first to r.Relex.first + r.Relex.replaced - 1 do
-      remove_from_parent t.leaves.(i)
+    (* The anchor's slot index was captured above; removing the anchor
+       first keeps [at] pointing at its spot. *)
+    for i = first to first + replaced - 1 do
+      ignore (unlink t.leaves.(i))
     done;
-    insert_kids insert_parent ~at:insert_at new_terms
+    link p ~at new_terms;
+    Array.iter Node.mark_changed new_terms;
+    Node.mark_changed p
   end;
   (match r.Relex.trailing with
   | Some trailing -> set_trailing t trailing
   | None -> ());
-  t.leaves <-
-    Array.concat
-      [
-        Array.sub t.leaves 0 r.Relex.first;
-        new_terms;
-        Array.sub t.leaves
-          (r.Relex.first + r.Relex.replaced)
-          (n - r.Relex.first - r.Relex.replaced);
-      ];
+  t.leaves <- splice t.leaves ~at:first ~drop:replaced new_terms;
+  t.starts <- starts;
+  t.lines <- None;
   t.text <- new_text;
-  r.Relex.replaced
+  replaced
 
 let changed_tokens t =
   Array.to_list t.leaves
@@ -218,18 +257,8 @@ let detach_leaves t ~lo ~hi =
   let undo = ref [] in
   for i = lo to hi do
     let leaf = t.leaves.(i) in
-    match leaf.Node.parent with
-    | None -> invalid_arg "Document.detach_leaves: leaf without parent"
-    | Some p ->
-        let idx = index_in_parent p leaf in
-        p.Node.kids <-
-          Array.append
-            (Array.sub p.Node.kids 0 idx)
-            (Array.sub p.Node.kids (idx + 1)
-               (Array.length p.Node.kids - idx - 1));
-        Node.adjust_token_count p (-Node.token_count leaf);
-        Node.mark_changed p;
-        undo := { d_leaf = leaf; d_parent = p; d_index = idx } :: !undo
+    let p, idx = unlink leaf in
+    undo := { d_leaf = leaf; d_parent = p; d_index = idx } :: !undo
   done;
   !undo
 
@@ -238,18 +267,19 @@ let reattach undo =
      pass replays the exact inverse operations. *)
   List.iter
     (fun { d_leaf; d_parent; d_index } ->
-      d_parent.Node.kids <-
-        Array.concat
-          [
-            Array.sub d_parent.Node.kids 0 d_index;
-            [| d_leaf |];
-            Array.sub d_parent.Node.kids d_index
-              (Array.length d_parent.Node.kids - d_index);
-          ];
-      d_leaf.Node.parent <- Some d_parent;
-      Node.adjust_token_count d_parent (Node.token_count d_leaf);
+      link d_parent ~at:d_index [| d_leaf |];
       Node.mark_changed d_parent)
     undo
+
+(* Put alternative [a] in the slot of its choice node [q]; false when
+   [q] has no parent. *)
+let flatten (q : Node.t) (a : Node.t) =
+  match q.Node.parent with
+  | None -> false
+  | Some r ->
+      r.Node.kids.(index_in_parent r q) <- a;
+      a.Node.parent <- Some r;
+      true
 
 (* Highest ancestor of [anchor] whose yield still starts at [anchor]:
    splicing just before it puts the error run at statement level rather
@@ -264,14 +294,7 @@ let rec climb_anchor (anchor : Node.t) (a : Node.t) =
   | Some p -> (
       match p.Node.kind with
       | Node.Root -> a
-      | Node.Choice _ -> (
-          match p.Node.parent with
-          | None -> a
-          | Some q ->
-              let i = index_in_parent q p in
-              q.Node.kids.(i) <- a;
-              a.Node.parent <- Some q;
-              climb_anchor anchor a)
+      | Node.Choice _ -> if flatten p a then climb_anchor anchor a else a
       | _ ->
           if
             match Node.first_terminal p with
@@ -298,16 +321,7 @@ let splice_error t ~message ~lo ~hi =
   match a.Node.parent with
   | None -> invalid_arg "Document.splice_error: detached anchor"
   | Some p ->
-      let at = index_in_parent p a in
-      p.Node.kids <-
-        Array.concat
-          [
-            Array.sub p.Node.kids 0 at;
-            [| e |];
-            Array.sub p.Node.kids at (Array.length p.Node.kids - at);
-          ];
-      e.Node.parent <- Some p;
-      Node.adjust_token_count p (Node.token_count e);
+      link p ~at:(index_in_parent p a) [| e |];
       (* Walk to the root: clear states so the spine over an error region
          never state-matches (integration of the flagged run is
          re-attempted on every later reparse, succeeding once the text is
@@ -320,17 +334,9 @@ let splice_error t ~message ~lo ~hi =
         n.Node.state <- Node.nostate;
         match n.Node.parent with
         | None -> ()
-        | Some q -> (
-            match q.Node.kind with
-            | Node.Choice _ -> (
-                match q.Node.parent with
-                | None -> ()
-                | Some r ->
-                    let i = index_in_parent r q in
-                    r.Node.kids.(i) <- n;
-                    n.Node.parent <- Some r;
-                    fixup n)
-            | _ -> fixup q)
+        | Some ({ Node.kind = Node.Choice _; _ } as q) ->
+            if flatten q n then fixup n
+        | Some q -> fixup q
       in
       fixup p;
       e

@@ -28,6 +28,29 @@ val leaves : t -> Parsedag.Node.t array
 
 val token_count : t -> int
 
+(** {1 Positions}
+
+    The document keeps one position map per version: the byte offset of
+    every leaf, rebuilt by {!edit}, and the line starts, computed on the
+    first line query after an edit.  Token indices are clamped to
+    [0..token_count]; [token_count] stands for the end of the last token. *)
+
+val token_offset : t -> int -> int
+(** Byte offset where token [k] begins, leading trivia included (so also
+    one past token [k-1]'s lexeme).  O(1). *)
+
+val lexeme_offset : t -> int -> int
+(** Byte offset of token [k]'s lexeme, after its leading trivia.  O(1). *)
+
+val line_col : t -> int -> int * int
+(** 1-based line and byte column of a byte offset.  O(lg lines). *)
+
+val ancestor_span : t -> int -> Parsedag.Node.t -> int * int
+(** [ancestor_span t i a] — the leaf-index span [(lo, hi)] of [a], an
+    ancestor of leaf [i] on its parent chain, from the token counts of
+    the kids left of that chain.  O(depth x arity).
+    @raise Invalid_argument if [a] is not on the chain. *)
+
 (** [edit t ~pos ~del ~insert] replaces [del] bytes at [pos] with
     [insert].  Relexes the damaged region, splices replacement terminals
     into the tree and marks changes.  Several edits may be applied before
@@ -45,8 +68,8 @@ val changed_tokens : t -> Parsedag.Node.t list
     Local error recovery masks a damaged token run out of the tree,
     reparses the remainder, and splices the run back as an explicit error
     node.  These operations keep token counts and parent links exact; the
-    leaves array and the text are never touched (masked terminals stay in
-    the document, only their tree attachment changes). *)
+    leaves array, the text and the positions are never touched (masked
+    terminals stay in the document, only their tree attachment changes). *)
 
 type detach
 (** Undo record for one detached leaf. *)

@@ -8,46 +8,40 @@ type result = {
   trailing : string option;
 }
 
-let term_info (n : Node.t) =
+let search (a : int array) ~lo ~hi x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go lo hi
+
+let lookahead (n : Node.t) =
   match n.Node.kind with
-  | Node.Term i -> i
+  | Node.Term i -> i.Node.lex_la
   | _ -> invalid_arg "Relex: leaf is not a terminal"
 
-let relex ~lexer ~old_text ~leaves ~pos ~del ~insert ~new_text =
+let relex ~lexer ~leaves ~starts ~pos ~del ~insert ~new_text =
   let n = Array.length leaves in
-  (* Offsets of each leaf in the old text. *)
-  let starts = Array.make n 0 in
-  let ends = Array.make n 0 in
-  let las = Array.make n 0 in
-  let off = ref 0 in
-  for i = 0 to n - 1 do
-    let info = term_info leaves.(i) in
-    starts.(i) <- !off;
-    off := !off + String.length info.Node.trivia + String.length info.Node.text;
-    ends.(i) <- !off;
-    las.(i) <- info.Node.lex_la
-  done;
-  ignore old_text;
-  let delta = String.length insert - del in
   (* First leaf whose examined bytes reach the edit. *)
   let damage_lo =
     let rec find i =
-      if i >= n then n else if ends.(i) + las.(i) > pos then i else find (i + 1)
+      if i >= n || starts.(i + 1) + lookahead leaves.(i) > pos then i
+      else find (i + 1)
     in
     find 0
   in
-  let relex_from =
-    if damage_lo < n then starts.(damage_lo)
-    else if n = 0 then 0
-    else ends.(n - 1)
+  let delta = String.length insert - del in
+  (* The old token, lying after the edited range, that starts at new-text
+     offset [cur]. *)
+  let resync cur =
+    let old = cur - delta in
+    let j = search starts ~lo:damage_lo ~hi:n old in
+    if old >= pos + del && j < n && starts.(j) = old then Some j else None
   in
-  (* New-text offsets at which an untouched old token starts. *)
-  let resync : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  for j = n - 1 downto 0 do
-    if starts.(j) >= pos + del then Hashtbl.replace resync (starts.(j) + delta) j
-  done;
   let rec scan acc cur =
-    match Hashtbl.find_opt resync cur with
+    match resync cur with
     | Some j ->
         {
           first = damage_lo;
@@ -69,4 +63,4 @@ let relex ~lexer ~old_text ~leaves ~pos ~del ~insert ~new_text =
                 Some (String.sub new_text cur (String.length new_text - cur));
             })
   in
-  scan [] relex_from
+  scan [] starts.(damage_lo)

@@ -1,9 +1,9 @@
 (** Incremental relexing.
 
-    Given the old token sequence (the tree's terminal leaves), the old
-    text, and one textual edit, computes the minimal damaged token range
-    and the replacement tokens, resynchronizing with the old stream at the
-    first clean boundary past the edit.
+    Given the old token sequence (the tree's terminal leaves), their byte
+    offsets, and one textual edit, computes the minimal damaged token
+    range and the replacement tokens, resynchronizing with the old stream
+    at the first clean boundary past the edit.
 
     A token is damaged when the bytes it {e examined} — its trivia, its
     lexeme, and its recorded lookahead — intersect the edit.  Resynchron-
@@ -20,14 +20,21 @@ type result = {
       (** new trailing trivia when the edit ran to end of text *)
 }
 
-(** @raise Lexgen.Scanner.Lex_error when the new text is unscannable and
+(** [starts] is the document's position map over [leaves]: the byte
+    offset of each leaf's leading trivia, then the end of the last token.
+    The resynchronisation point is a binary search in it.
+    @raise Lexgen.Scanner.Lex_error when the new text is unscannable and
     the spec has no catch-all rule. *)
 val relex :
   lexer:Lexgen.Spec.t ->
-  old_text:string ->
   leaves:Parsedag.Node.t array ->
+  starts:int array ->
   pos:int ->
   del:int ->
   insert:string ->
   new_text:string ->
   result
+
+(** [search a ~lo ~hi x] — the first index in [\[lo, hi)] of the sorted
+    array [a] holding a value [>= x], or [hi]. *)
+val search : int array -> lo:int -> hi:int -> int -> int

@@ -861,10 +861,17 @@ let global_typedefs a = a.globals
    fetched with the typedef contour in force before it.                *)
 
 (* The items: the elements of the sequence the start production wraps
-   ([program -> stmt*], [translation_unit -> ext_decl*]). *)
+   ([program -> stmt*], [translation_unit -> ext_decl*]), with their
+   absolute token offsets — counting the root-level kids before the top,
+   such as an error node spliced before the first item. *)
 let items_of a (root : Node.t) =
-  match Array.find_opt (fun k -> Node.symbol a.g k = `N (Cfg.start a.g)) root.Node.kids with
-  | Some top -> Sequence.elements a.g top.Node.kids.(0)
+  let kids = root.Node.kids in
+  match Array.find_index (fun k -> Node.symbol a.g k = `N (Cfg.start a.g)) kids with
+  | Some i ->
+      let base = Node.tokens_before root i in
+      List.map
+        (fun (off, it) -> (base + off, it))
+        (Sequence.elements_at a.g kids.(i).Node.kids.(0))
   | None -> []
 
 (* Fetch every item's scope cell, in order.  Under a policy, the item's
@@ -881,7 +888,7 @@ let scan a root =
   let tds = Hashtbl.create 16 in
   let summaries =
     List.map
-      (fun (it : Node.t) ->
+      (fun (off, (it : Node.t)) ->
         let nid = it.Node.nid in
         Hashtbl.replace a.nodes nid it;
         (if a.policy <> None then
@@ -896,10 +903,10 @@ let scan a root =
             if d.sd_export && d.sd_kind = Type then
               Hashtbl.replace tds d.sd_name ())
           s.sm_defs;
-        (it, s))
+        (off, it, s))
       (items_of a root)
   in
-  a.last <- List.map snd summaries;
+  a.last <- List.map (fun (_, _, s) -> s) summaries;
   a.globals <- List.sort compare (Hashtbl.fold (fun n () l -> n :: l) tds []);
   summaries
 
@@ -916,7 +923,7 @@ let run a ?typedefs root =
   (* Everything any item exports, for classifying unresolved names. *)
   let all_defs = Hashtbl.create 64 in
   List.iter
-    (fun (_, s) ->
+    (fun (_, _, s) ->
       Array.iter
         (fun d ->
           if d.sd_export then
@@ -929,10 +936,9 @@ let run a ?typedefs root =
   let usedname = Hashtbl.create 64 in
   let rbindings = ref [] and rdiags = ref [] and rtypes = ref [] in
   let pending = ref [] in
-  let off = ref 0 in
   List.iter
-    (fun ((it : Node.t), s) ->
-      let abs tok = !off + tok in
+    (fun (off, (it : Node.t), s) ->
+      let abs tok = off + tok in
       let use_names =
         List.sort_uniq compare
           (List.map (fun u -> (u.su_name, u.su_ns)) s.sm_uses)
@@ -986,8 +992,7 @@ let run a ?typedefs root =
       List.iter (fun (tok, ty) -> rtypes := (abs tok, ty) :: !rtypes) tr.tr_types;
       List.iter
         (fun u -> pending := (u.su_name, u.su_ns, abs u.su_tok) :: !pending)
-        r.rv_unresolved;
-      off := !off + Node.token_count it)
+        r.rv_unresolved)
     summaries;
   (* Unresolved names: declared later somewhere -> used before its
      declaration; never declared -> unbound. *)
@@ -1041,7 +1046,40 @@ let run a ?typedefs root =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic rendering (the oracle's comparison key).              *)
+(* Rendering.                                                          *)
+
+let to_json ~loc r =
+  let module J = Metrics.Json in
+  [
+    ( "diagnostics",
+      J.List
+        (List.map
+           (fun d ->
+             let line, col = loc d.d_token in
+             J.Obj
+               [
+                 ("code", J.String d.d_code);
+                 ("line", J.Int line);
+                 ("col", J.Int col);
+                 ("token", J.Int d.d_token);
+                 ("message", J.String d.d_message);
+               ])
+           r.diags) );
+    ( "bindings",
+      J.List
+        (List.map
+           (fun b ->
+             J.Obj
+               [
+                 ("name", J.String b.b_name);
+                 ("kind", J.String (kind_name b.b_kind));
+                 ("type", J.String (ty_name b.b_ty));
+               ])
+           r.bindings) );
+    ("typedefs", J.List (List.map (fun n -> J.String n) r.typedefs));
+  ]
+
+(* Deterministic rendering (the oracle's comparison key). *)
 
 let render r =
   let b = Buffer.create 256 in

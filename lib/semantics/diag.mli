@@ -151,6 +151,11 @@ val global_typedefs : t -> string list
 (** The typedef names exported at top level as of the last {!run} or
     {!decide}, sorted. *)
 
+val to_json : loc:(int -> int * int) -> result -> (string * Metrics.Json.t) list
+(** The [diagnostics], [bindings] and [typedefs] fields of the JSON
+    report ([iglrc diag --json], the daemon's [diag] response); [loc]
+    maps a token offset to its 1-based line and column. *)
+
 val render : result -> string
 (** Deterministic s-expression rendering: equal results render equal —
     the differential oracle's comparison key and the CLI's [--sexp]

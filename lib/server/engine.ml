@@ -646,48 +646,16 @@ let do_diag t ~req ~id ~doc ~metrics () =
     let r, d =
       Session.measure (fun () -> Semantics.Diag.run analysis (Session.root s))
     in
-    let loc tok = Session.location_of_token s tok in
+    let loc tok =
+      let l = Session.location_of_token s tok in
+      (l.Session.line, l.Session.col)
+    in
     let engine = Semantics.Diag.engine analysis in
     let qs = Query.stats engine in
     P.ok ~req ~id
       (Json.Obj
-         ([
-            ("doc", Json.String doc);
-            ( "diagnostics",
-              Json.List
-                (List.map
-                   (fun (dg : Semantics.Diag.diag) ->
-                     let l = loc dg.Semantics.Diag.d_token in
-                     Json.Obj
-                       [
-                         ("code", Json.String dg.Semantics.Diag.d_code);
-                         ("line", Json.Int l.Session.line);
-                         ("col", Json.Int l.Session.col);
-                         ("token", Json.Int dg.Semantics.Diag.d_token);
-                         ("message", Json.String dg.Semantics.Diag.d_message);
-                       ])
-                   r.Semantics.Diag.diags) );
-            ( "bindings",
-              Json.List
-                (List.map
-                   (fun (b : Semantics.Diag.binding) ->
-                     Json.Obj
-                       [
-                         ("name", Json.String b.Semantics.Diag.b_name);
-                         ( "kind",
-                           Json.String
-                             (Semantics.Diag.kind_name b.Semantics.Diag.b_kind)
-                         );
-                         ( "type",
-                           Json.String
-                             (Semantics.Diag.ty_name b.Semantics.Diag.b_ty) );
-                       ])
-                   r.Semantics.Diag.bindings) );
-            ( "typedefs",
-              Json.List
-                (List.map
-                   (fun n -> Json.String n)
-                   r.Semantics.Diag.typedefs) );
+         ((("doc", Json.String doc) :: Semantics.Diag.to_json ~loc r)
+         @ [
             ( "query",
               Json.Obj
                 [

@@ -22,8 +22,13 @@ let relex text ~pos ~del ~insert =
     String.sub text 0 pos ^ insert
     ^ String.sub text (pos + del) (String.length text - pos - del)
   in
-  ( Relex.relex ~lexer:(Lazy.force lexer) ~old_text:text
-      ~leaves:(leaves_of text) ~pos ~del ~insert ~new_text,
+  let leaves = leaves_of text in
+  let starts = Array.make (Array.length leaves + 1) 0 in
+  Array.iteri
+    (fun i l -> starts.(i + 1) <- starts.(i) + String.length (Node.text_yield l))
+    leaves;
+  ( Relex.relex ~lexer:(Lazy.force lexer) ~leaves ~starts ~pos ~del ~insert
+      ~new_text,
     new_text )
 
 let texts r = List.map (fun (t : Scanner.token) -> t.Scanner.text) r.Relex.tokens

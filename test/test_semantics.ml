@@ -305,6 +305,32 @@ let test_choice_in_recovered_region () =
         (selected_kind c amb = `Decl)
   | l -> Alcotest.failf "expected one choice node, got %d" (List.length l)
 
+(* Diagnostic offsets count every token before an item, including an
+   error region isolated between two items or before the first one. *)
+let test_diag_offsets_after_error () =
+  let positions text =
+    let s, outcome =
+      Session.create ~table:(Language.table c) ~lexer:(Language.lexer c) text
+    in
+    (match outcome with
+    | Session.Recovered _ -> ()
+    | Session.Parsed _ -> Alcotest.fail "expected a recovered parse");
+    let d = Diag.create ~policy:Diag.Namespace_only c.Language.grammar in
+    let r = Diag.run d (Session.root s) in
+    List.map
+      (fun (dg : Diag.diag) ->
+        let l = Session.location_of_token s dg.Diag.d_token in
+        (dg.Diag.d_code, l.Session.line, l.Session.col))
+      r.Diag.diags
+  in
+  let pos = Alcotest.(list (triple string int int)) in
+  Alcotest.check pos "error between items"
+    [ ("unused-binding", 1, 5); ("unused-binding", 3, 5); ("unbound-name", 3, 9) ]
+    (positions "int a ;\nint @ ;\nint b = c ;");
+  Alcotest.check pos "error before the first item"
+    [ ("unused-binding", 2, 5); ("unbound-name", 2, 9) ]
+    (positions "@ ;\nint b = c ;")
+
 let suite =
   [
     Alcotest.test_case "typedef decides namespaces" `Quick test_typedef_decides;
@@ -327,4 +353,6 @@ let suite =
       test_typedef_rename_recomputes_dependents;
     Alcotest.test_case "choice next to a recovered error decided" `Quick
       test_choice_in_recovered_region;
+    Alcotest.test_case "diag offsets count error regions" `Quick
+      test_diag_offsets_after_error;
   ]
